@@ -314,7 +314,12 @@ def cmd_iso(scene, args, fmt):
 
 
 def cmd_moduli(scene, args, fmt):
-    precision = args.precision or scene.options.get("precision") or 15
+    if args.precision is not None:
+        precision, where = args.precision, "--precision"
+    else:
+        precision, where = scene.options.get("precision", 15), "options.precision"
+    # a float shows at most 15 significant digits faithfully
+    _check(1 <= precision <= 15, f"{where}: expected 1 to 15 significant digits, got {precision}")
     j, qe = moduli_point(scene.data, precision)
     _emit({"j_base": _fmt_complex(j, fmt), "q_fibre": _fmt_complex(qe, fmt),
            "precision": precision}, fmt)

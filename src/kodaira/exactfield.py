@@ -13,6 +13,15 @@ symbol and a monomial is real exactly when its total degree is even.  This
 keeps "imaginary part" questions decidable without ever touching floats:
 ``Im(tau) > 0`` becomes a sign check on one rational coefficient.
 
+A value is stored as integer numerators over one positive common denominator,
+the layout of FLINT's ``fmpq_poly``: the value is ``sum(n[m] * m) / den``.
+The pair is always in lowest terms (``gcd(den, *n.values()) == 1``) and no
+zero numerator is stored, so every value has exactly one representation and
+``==`` and ``hash`` compare plain integers.  Addition, negation, conjugation
+and scalar multiplication work on integers with one gcd per result; a product
+looks up each pair of monomials in a table of the ring that fills on first
+use.  Coefficients still leave the module as ``Fraction``.
+
 The module also provides lattice utilities for Lambda_tau = Z*tau + Z
 (decomposition, the skew form D_tau, membership) and an integer Smith normal
 form, which the group-theoretic modules use for abelian invariants.
@@ -22,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
+from math import floor, gcd, isqrt, lcm
 
 
 class DomainError(Exception):
@@ -41,14 +50,19 @@ class NotCommensurable(DomainError):
     """Imaginary part is not a rational multiple of Im(tau)."""
 
 
+# Largest d a quadratic symbol may declare; it keeps the squarefree test, a
+# trial division up to sqrt(d), below about a second.
+MAX_QUADRATIC_D = 10**12
+
+
 def _is_squarefree(n):
-    if n <= 0:
+    if n <= 0 or n % 4 == 0:
         return False
-    k = 2
+    k = 3
     while k * k <= n:
         if n % (k * k) == 0:
             return False
-        k += 1
+        k += 2
     return True
 
 
@@ -68,7 +82,15 @@ class SymbolDecl:
     approx: float | None = None
 
     def __post_init__(self):
-        if self.d is not None and not _is_squarefree(self.d):
+        if self.d is None:
+            return
+        if not isinstance(self.d, int):
+            raise ValueError(f"quadratic symbol {self.name!r} needs an integer d, got {self.d!r}")
+        if self.d > MAX_QUADRATIC_D:
+            raise ValueError(
+                f"quadratic symbol {self.name!r}: d = {self.d} exceeds the limit {MAX_QUADRATIC_D}"
+            )
+        if not _is_squarefree(self.d):
             raise ValueError(f"quadratic symbol {self.name!r} needs squarefree d > 0, got {self.d}")
 
     @property
@@ -106,6 +128,10 @@ class NumberRing:
         self.symbols = tuple(decls)
         self._index = {s.name: k for k, s in enumerate(self.symbols)}
         self._check_independence()
+        # (m1, m2) -> (integer factor, reduced monomial) of m1*m2
+        self._products = {}
+        self._zero = _raw(self, {}, 1)
+        self._one = _raw(self, {ONE_MONO: 1}, 1)
 
     def _check_independence(self):
         # The fields Q(sqrt(-d_1), ..., sqrt(-d_k)) are linearly disjoint iff
@@ -119,10 +145,7 @@ class NumberRing:
             for j, d in enumerate(quads):
                 if mask >> j & 1:
                     prod *= d
-            r = int(prod**0.5)
-            while r * r < prod:
-                r += 1
-            if r * r == prod:
+            if isqrt(prod) ** 2 == prod:
                 raise ValueError(f"dependent quadratic symbols: product of d's {prod} is a square")
 
     def __eq__(self, other):
@@ -136,131 +159,218 @@ class NumberRing:
 
     def symbol(self, name):
         """The symbol with this name, as a value."""
-        k = self._index[name]
-        return NumberValue(self, {((k, 1),): Fraction(1)})
+        return _raw(self, {((self._index[name], 1),): 1}, 1)
 
     def value(self, x):
         """Coerce a rational (or pass through a value of this ring)."""
         if isinstance(x, NumberValue):
-            if x.ring != self:
+            if x.ring is not self and x.ring != self:
                 raise ValueError("ring mismatch")
             return x
-        return NumberValue(self, {ONE_MONO: Fraction(x)} if x else {})
+        if type(x) is not int:
+            x = Fraction(x)
+            if x.denominator != 1:
+                return _raw(self, {ONE_MONO: x.numerator}, x.denominator)
+            x = x.numerator
+        return _raw(self, {ONE_MONO: x}, 1) if x else self._zero
 
     def zero(self):
-        return NumberValue(self, {})
+        return self._zero
 
     def one(self):
-        return self.value(1)
+        return self._one
 
     def i(self):
         return self.symbol("i")
 
-    def _mul_mono(self, m1, m2):
-        """Product of two monomials as (rational factor, reduced monomial)."""
-        exps = dict(m1)
-        for k, e in m2:
-            exps[k] = exps.get(k, 0) + e
-        factor = Fraction(1)
+    def _reduce(self, exps):
+        """(factor, reduced monomial) of the product of symbol powers
+        {index: exponent}.  A quadratic s has s^e = (-d)^(e // 2) * s^(e % 2),
+        so the factor is an int unless a quadratic exponent is negative."""
+        factor = 1
         out = []
         for k in sorted(exps):
             e = exps[k]
-            if not e:
-                continue
             s = self.symbols[k]
             if s.is_quadratic:
-                # s^2 = -d, and exponents of quadratic symbols are at most 1
-                # in reduced monomials, so e here is at most 2.
-                assert e <= 2
-                if e == 2:
-                    factor *= -s.d
-                    continue
-            out.append((k, e))
+                half, e = divmod(e, 2)
+                factor *= (-s.d) ** half if half >= 0 else Fraction(-1, s.d) ** -half
+            if e:
+                out.append((k, e))
         return factor, tuple(out)
+
+    def _mul_mono(self, m1, m2):
+        """Product of two reduced monomials as (integer factor, reduced
+        monomial), remembered in the ring's product table."""
+        exps = dict(m1)
+        for k, e in m2:
+            exps[k] = exps.get(k, 0) + e
+        out = self._products[m1, m2] = self._reduce(exps)
+        return out
 
 
 def _mono_degree(mono):
     return sum(e for _, e in mono)
 
 
+def _raw(ring, nums, den):
+    """The value sum(nums[m] * m) / den; nums must hold no zero and be in
+    lowest terms with den > 0."""
+    x = object.__new__(NumberValue)
+    x.ring = ring
+    x._n = nums
+    x._d = den
+    x._hash = None
+    return x
+
+
+def _lowest(ring, nums, den):
+    """The value sum(nums[m] * m) / den, divided down to lowest terms; nums
+    must hold no zero, and den > 0."""
+    if not nums:
+        return ring._zero
+    g = gcd(den, *nums.values())
+    if g != 1:
+        nums = {m: q // g for m, q in nums.items()}
+        den //= g
+    return _raw(ring, nums, den)
+
+
+def _scaled(x, p, r):
+    """x * p / r for integers p and r > 0."""
+    if not p:
+        return x.ring._zero
+    return _lowest(x.ring, {m: q * p for m, q in x._n.items()}, x._d * r)
+
+
+def _sum(x, y, sign):
+    """x + sign * y, for sign 1 or -1."""
+    yn = y._n
+    if not yn:
+        return x
+    xn, xd, yd = x._n, x._d, y._d
+    if xd == yd:
+        out = dict(xn)
+        sy = sign
+    else:
+        g = gcd(xd, yd)
+        sx, sy = yd // g, xd // g * sign
+        out = {m: q * sx for m, q in xn.items()}
+        xd *= sx
+    for m, q in yn.items():
+        s = out.get(m, 0) + q * sy
+        if s:
+            out[m] = s
+        else:
+            del out[m]
+    return _lowest(x.ring, out, xd)
+
+
 class NumberValue:
-    """An element of a NumberRing: a finite map monomial -> Fraction.
+    """An element of a NumberRing: integer numerators over one positive
+    common denominator, sum(_n[m] * m) / _d over reduced monomials m.
+
+    The pair is kept in lowest terms, gcd(_d, *_n.values()) == 1, with no
+    zero numerator stored, so equal values have equal storage.  The
+    constructor takes a map monomial -> rational (Fraction or int); coeff,
+    items and rational hand the coefficients back as Fractions.
 
     Supports the usual operators; ``/`` is restricted division (see divide).
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("ring", "_c", "_key_cache")
+    __slots__ = ("ring", "_n", "_d", "_hash")
 
     def __init__(self, ring, coeffs):
+        coeffs = {m: Fraction(q) for m, q in coeffs.items() if q}
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the pair is already in lowest terms
+        den = lcm(*(q.denominator for q in coeffs.values()))
         self.ring = ring
-        self._c = {m: q for m, q in coeffs.items() if q}
-        self._key_cache = None
-
-    def _key(self):
-        if self._key_cache is None:
-            self._key_cache = tuple(sorted(self._c.items()))
-        return self._key_cache
+        self._n = {m: q.numerator * (den // q.denominator) for m, q in coeffs.items()}
+        self._d = den
+        self._hash = None
 
     def coeff(self, mono):
-        return self._c.get(mono, Fraction(0))
+        n = self._n.get(mono)
+        return Fraction(n, self._d) if n else Fraction(0)
 
     def monomials(self):
-        return sorted(self._c)
+        return sorted(self._n)
 
     def items(self):
-        return self._key()
+        d = self._d
+        return tuple((m, Fraction(n, d)) for m, n in sorted(self._n.items()))
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._n)
 
     def __eq__(self, other):
+        if isinstance(other, NumberValue):
+            return (
+                (self.ring is other.ring or self.ring == other.ring)
+                and self._d == other._d
+                and self._n == other._n
+            )
         if isinstance(other, (int, Fraction)):
-            other = self.ring.value(other)
-        if not isinstance(other, NumberValue):
-            return NotImplemented
-        return self.ring == other.ring and self._c == other._c
+            if not other:
+                return not self._n
+            q = Fraction(other)
+            return self._d == q.denominator and self._n == {ONE_MONO: q.numerator}
+        return NotImplemented
 
     def __hash__(self):
-        return hash(self._key())
+        if self._hash is None:
+            self._hash = hash((self._d, tuple(sorted(self._n.items()))))
+        return self._hash
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, NumberValue):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ring.value(other)
-        elif not isinstance(other, NumberValue):
-            return NotImplemented
-        out = dict(self._c)
-        for m, q in other._c.items():
-            out[m] = out.get(m, Fraction(0)) + q
-        return NumberValue(self.ring, out)
+        if not self._n:
+            return other
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NumberValue(self.ring, {m: -q for m, q in self._c.items()})
+        return _raw(self.ring, {m: -q for m, q in self._n.items()}, self._d)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, NumberValue):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = self.ring.value(other)
-        elif not isinstance(other, NumberValue):
-            return NotImplemented
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return self.ring.value(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return NumberValue(self.ring, {m: c * q for m, c in self._c.items()})
         if not isinstance(other, NumberValue):
+            if isinstance(other, int):
+                return _scaled(self, other, 1)
+            if isinstance(other, Fraction):
+                return _scaled(self, other.numerator, other.denominator)
             return NotImplemented
+        xn, yn = self._n, other._n
+        if len(yn) == 1 and ONE_MONO in yn:
+            return _scaled(self, yn[ONE_MONO], other._d)
+        if len(xn) == 1 and ONE_MONO in xn:
+            return _scaled(other, xn[ONE_MONO], self._d)
+        ring = self.ring
+        table = ring._products
         out = {}
-        for m1, q1 in self._c.items():
-            for m2, q2 in other._c.items():
-                f, m = self.ring._mul_mono(m1, m2)
-                out[m] = out.get(m, Fraction(0)) + q1 * q2 * f
-        return NumberValue(self.ring, out)
+        for m1, a in xn.items():
+            for m2, b in yn.items():
+                try:
+                    f, m = table[m1, m2]
+                except KeyError:
+                    f, m = ring._mul_mono(m1, m2)
+                out[m] = out.get(m, 0) + a * b * f
+        return _lowest(ring, {m: q for m, q in out.items() if q}, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -273,36 +383,43 @@ class NumberValue:
         return divide(self, other)
 
     def __pow__(self, n):
-        assert n >= 0
-        out = self.ring.one()
-        for _ in range(n):
-            out = out * self
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"only nonnegative integer powers, got {n!r}")
+        out, base = self.ring._one, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def conjugate(self):
         """The ring involution negating every symbol."""
-        return NumberValue(
+        return _raw(
             self.ring,
-            {m: (-q if _mono_degree(m) % 2 else q) for m, q in self._c.items()},
+            {m: (-q if _mono_degree(m) % 2 else q) for m, q in self._n.items()},
+            self._d,
         )
 
     def is_real(self):
-        return all(_mono_degree(m) % 2 == 0 for m in self._c)
+        return all(_mono_degree(m) % 2 == 0 for m in self._n)
 
     def is_rational(self):
-        return set(self._c) <= {ONE_MONO}
+        n = self._n
+        return not n or (len(n) == 1 and ONE_MONO in n)
 
     def rational(self):
         """This value as a Fraction; raises NotInSpan when not rational."""
         if not self.is_rational():
             raise NotInSpan(f"{self} is not rational")
-        return self._c.get(ONE_MONO, Fraction(0))
+        return Fraction(self._n.get(ONE_MONO, 0), self._d)
 
     def __repr__(self):
-        if not self._c:
+        if not self._n:
             return "0"
         parts = []
-        for m, q in self._key():
+        for m, q in self.items():
             word = "*".join(
                 self.ring.symbols[k].name + (f"^{e}" if e != 1 else "") for k, e in m
             )
@@ -335,31 +452,24 @@ def divide(x, y):
     y = ring.value(y)
     if not y:
         raise NotInvertible("division by zero")
-    if len(y._c) == 1:
-        ((mono, q),) = y._c.items()
-        quad_part, transc_part = [], []
+    if len(y._n) == 1:
+        # 1/(q/den * m): each quadratic s stays, as 1/s = -s/d, and each
+        # transcendental exponent changes sign
+        ((mono, q),) = y._n.items()
+        num, den = y._d, q
+        inv = []
         for k, e in mono:
-            (quad_part if ring.symbols[k].is_quadratic else transc_part).append((k, e))
-        out = x * (1 / q)
-        for k, e in quad_part:
-            # 1/s = -s/d since s^2 = -d
-            s = NumberValue(ring, {((k, 1),): Fraction(-1, ring.symbols[k].d)})
-            for _ in range(e):
-                out = out * s
-        if transc_part:
-            # monomial-by-monomial; exponents may go negative (Laurent)
-            need = dict(transc_part)
-            quo = {}
-            for m, c in out._c.items():
-                exps = dict(m)
-                for k, e in need.items():
-                    exps[k] = exps.get(k, 0) - e
-                m2 = tuple((k, e) for k, e in sorted(exps.items()) if e)
-                quo[m2] = quo.get(m2, Fraction(0)) + c
-            out = NumberValue(ring, quo)
-        return out
+            s = ring.symbols[k]
+            if s.is_quadratic:
+                den *= -s.d
+                inv.append((k, e))
+            else:
+                inv.append((k, -e))
+        if den < 0:
+            num, den = -num, -den
+        return x * _lowest(ring, {tuple(inv): num}, den)
     quad_only = all(
-        all(ring.symbols[k].is_quadratic for k, _ in m) for m in y._c
+        all(ring.symbols[k].is_quadratic for k, _ in m) for m in y._n
     )
     if not quad_only:
         raise NotInvertible(f"{y} is not invertible in this ring")
@@ -368,14 +478,16 @@ def divide(x, y):
     # flip-invariant monomials have even s-degree, i.e. none).
     num, den = x, y
     while not den.is_rational():
-        k = next(k for m in den._c for k, _ in m)
-        flip = NumberValue(
-            den.ring,
-            {m: (-q if dict(m).get(k, 0) % 2 else q) for m, q in den._c.items()},
+        k = next(k for m in den._n for k, _ in m)
+        flip = _raw(
+            ring,
+            {m: (-q if any(j == k for j, _ in m) else q) for m, q in den._n.items()},
+            den._d,
         )
         num = num * flip
         den = den * flip
-        assert all(dict(m).get(k, 0) == 0 for m in den._c)
+        if any(j == k for m in den._n for j, _ in m):
+            raise DomainError(f"rationalizing {y} left {ring.symbols[k].name} behind")
     return num * (1 / den.rational())
 
 
@@ -387,7 +499,7 @@ class Tau:
     oriented imaginaries, that makes Im(tau) > 0 a stored fact.
     """
 
-    __slots__ = ("value", "_im_index", "_im_coeff")
+    __slots__ = ("value", "_im_index", "_im_coeff", "_span")
 
     def __init__(self, value):
         if isinstance(value, Tau):
@@ -400,6 +512,8 @@ class Tau:
         self.value = value
         self._im_index = monos[0][0][0]
         self._im_coeff = w.coeff(monos[0]) / 2  # coefficient of the symbol in tau
+        # the non-constant numerators of tau, for decompose (never empty)
+        self._span = tuple((m, q) for m, q in sorted(value._n.items()) if m != ONE_MONO)
 
     @property
     def ring(self):
@@ -447,6 +561,9 @@ class LatticeElement:
 def decompose(x, tau):
     """Write x = a*tau + b with rational a, b.
 
+    x lies in Q*tau + Q exactly when its non-constant numerators are
+    proportional to those of tau, on the same monomials; the ratio gives a.
+
     >>> R = NumberRing([])
     >>> t = Tau(R.i() + 1)
     >>> decompose(2 * t.value - 3, t)
@@ -454,15 +571,22 @@ def decompose(x, tau):
     """
     v = tau.value
     x = v.ring.value(x)
-    a = Fraction(0)
-    for m in v.monomials():
-        if m != ONE_MONO:
-            a = x.coeff(m) / v.coeff(m)
-            break
-    b = x.coeff(ONE_MONO) - a * v.coeff(ONE_MONO)
-    if x != v * a + b:
+    xn, span = x._n, tau._span
+    c = xn.get(ONE_MONO, 0)
+    width = len(xn) - (ONE_MONO in xn)
+    if not width:
+        return Fraction(0), Fraction(c, x._d)
+    m0, t0 = span[0]
+    x0 = xn.get(m0)
+    if (
+        x0 is None
+        or width != len(span)
+        or any(xn.get(m, 0) * t0 != q * x0 for m, q in span[1:])
+    ):
         raise NotInSpan(f"{x} is not in Q*tau + Q for tau = {v}")
-    return a, b
+    # x = (x0 m0 + ... + c)/x_d and tau = (t0 m0 + ... + tc)/tau_d
+    den = x._d * t0
+    return Fraction(x0 * v._d, den), Fraction(c * t0 - x0 * v._n.get(ONE_MONO, 0), den)
 
 
 def d_form(tau, x, y):
@@ -532,15 +656,20 @@ def to_payload(x):
 
 
 def from_payload(ring, payload):
-    """Inverse of to_payload; validates symbol names against the ring."""
-    coeffs = {}
-    for mono, q in payload:
-        m = tuple(sorted((ring._index[name], int(e)) for name, e in mono))
-        num, _, den = str(q).partition("/")
-        coeffs[m] = Fraction(int(num), int(den) if den else 1)
+    """Inverse of to_payload; validates symbol names against the ring.
+
+    Monomials are reduced (s^2 = -d for a quadratic s), and terms on the same
+    monomial add up.
+    """
     total = ring.zero()
-    for m, q in coeffs.items():
-        total = total + NumberValue(ring, {ONE_MONO: q}) * NumberValue(ring, {m: Fraction(1)})
+    for mono, q in payload:
+        exps = {}
+        for name, e in mono:
+            k = ring._index[name]
+            exps[k] = exps.get(k, 0) + int(e)
+        factor, m = ring._reduce(exps)
+        num, _, den = str(q).partition("/")
+        total = total + NumberValue(ring, {m: Fraction(int(num), int(den) if den else 1) * factor})
     return total
 
 

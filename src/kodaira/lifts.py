@@ -226,13 +226,22 @@ def invert(l, d):
 
 
 def power(l, m, d):
-    """Phi^m by repeated composition (m >= 0)."""
+    """Phi^m by square-and-multiply (m >= 0), in O(log m) compositions.
+
+    Powers of one lift commute, so this is the lift of m-fold composition.
+    """
     if m < 0:
         raise ValueError("nonnegative exponents only")
-    out = identity_lift(d)
-    for _ in range(m):
-        out = compose(l, out, d)
-    return out
+    if not m:
+        return identity_lift(d)
+    out, sq = None, l  # sq runs through Phi^(2^k)
+    while True:
+        if m & 1:
+            out = sq if out is None else compose(sq, out, d)
+        m >>= 1
+        if not m:
+            return out
+        sq = compose(sq, sq, d)
 
 
 def _root_order(omega, d):

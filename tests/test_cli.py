@@ -150,6 +150,23 @@ def test_moduli_precision(capsys):
     assert doc["precision"] == 12
 
 
+
+def test_moduli_precision_out_of_range(tmp_path, capsys):
+    for bad in ("-3", "0", "40"):
+        code, out, err = run(capsys, "moduli", "--scene", "bundled:order2", "--precision", bad)
+        assert code == 2 and out == ""
+        assert "--precision" in err and bad in err
+    doc = cli.bundled_scene("order2")
+    doc["options"] = {"precision": 40}
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "moduli", "--scene", str(scene))
+    assert code == 2 and "options.precision" in err and "40" in err
+    # the flag wins over the scene option
+    code, out, _ = run(capsys, "moduli", "--scene", str(scene), "--precision", "15",
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["precision"] == 15
+
 def test_iso_verdicts(capsys):
     code, out, _ = run(capsys, "iso", "--scene", "bundled:translations",
                        "--other", "bundled:iso_translate", "--format", "json")
@@ -250,3 +267,28 @@ def test_selftest_command_reports_all_checks(capsys):
     lines = [l for l in out.splitlines() if l.startswith("criterion")]
     assert len(lines) == 13
     assert all(" PASS " in l for l in lines)
+
+
+def test_repeated_monomials_add_up(capsys, tmp_path):
+    doc = cli.bundled_scene("translations")
+    doc["surface"]["c"] = [[[], "1/1"], [[], "1/1"]]
+    assert cli.parse_scene(doc).data.c == R.value(2)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "normalize", "--scene", str(scene), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["torsion_m"] == 2
+
+
+def test_huge_quadratic_d_is_a_scene_error(capsys, tmp_path):
+    doc = cli.bundled_scene("translations")
+    doc["ring"].append({"name": "big", "d": 10**40 + 1})
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "normalize", "--scene", str(scene))
+    assert code == 2
+    assert "'big'" in err
+    doc["ring"][-1]["d"] = "3"
+    scene.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "normalize", "--scene", str(scene))
+    assert code == 2 and "'big'" in err

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kodaira.exactfield import (
+    MAX_QUADRATIC_D,
     NotInSpan,
     NotInvertible,
     NumberRing,
+    NumberValue,
     SymbolDecl,
     Tau,
     approx_complex,
@@ -29,6 +31,7 @@ R = NumberRing()
 I = R.i()
 RH = NumberRing([SymbolDecl("i", d=1), SymbolDecl("r3", d=3)])
 R3 = RH.symbol("r3")
+I_RH = RH.i()
 RT = NumberRing([SymbolDecl("i", d=1), SymbolDecl("t", approx=2.5)])
 T = RT.symbol("t")
 
@@ -111,6 +114,15 @@ def test_decompose_rejects_foreign_directions():
     with pytest.raises(NotInSpan):
         decompose(T, Tau(RT.i()))
     assert not in_lattice(T, Tau(RT.i()))
+    with pytest.raises(NotInSpan):
+        decompose(RT.i() + T, Tau(RT.i()))
+    # tau with two non-constant monomials: i*r3 is real, so Im(tau) = 1
+    tau = Tau(I_RH + I_RH * R3)
+    assert decompose(tau.value * 2 + 1, tau) == (2, 1)
+    assert decompose(tau.value * Fraction(-1, 3), tau) == (Fraction(-1, 3), 0)
+    for x in (I_RH * 2 + I_RH * R3 * 3, I_RH, I_RH * R3 + 1):
+        with pytest.raises(NotInSpan):
+            decompose(x, tau)
 
 
 @given(st.integers(-9, 9), st.integers(-9, 9))
@@ -187,3 +199,51 @@ def test_approx_complex():
     assert abs(approx_complex(R3, [1j, 3 ** 0.5 * 1j]) - 1.7320508075688772j) < 1e-15
     assert abs(approx_complex(T, [1j, 2.5j]) - 2.5j) < 1e-15
     assert approx_complex(divide(RT.one(), T), [1j, 2.5j]) == 1 / 2.5j
+
+
+def test_from_payload_adds_repeated_monomials():
+    assert from_payload(R, [[[], "1/1"], [[], "1/1"]]) == R.value(2)
+    assert from_payload(R, [[[["i", 1]], "1/2"], [[["i", 1]], "1/2"], [[], "3/1"]]) == I + 3
+    # monomials are reduced on the way in
+    assert from_payload(RH, [[[["r3", 3]], "1/1"]]) == R3 * -3
+    assert from_payload(R, [[[["i", 1], ["i", 2]], "1/1"]]) == -I
+    assert from_payload(RH, [[[["r3", -1]], "1/1"]]) == divide(RH.one(), R3)
+
+
+def test_values_are_stored_in_lowest_terms():
+    x = NumberValue(RH, {(): Fraction(2, 6), ((1, 1),): Fraction(-4, 6)})
+    assert (x._d, x._n) == (3, {(): 1, ((1, 1),): -2})
+    y = x * 3 + R3 * 2
+    assert (y._d, y._n) == (1, {(): 1})
+    assert hash(x) == hash(combo(RH, [Fraction(1, 3), 0, Fraction(-2, 3)]))
+    assert x.items() == (((), Fraction(1, 3)), (((1, 1),), Fraction(-2, 3)))
+    assert repr(x) == "1/3 - 2/3*r3"
+
+
+def test_pow_is_repeated_multiplication():
+    x = RH.one() + R3 * Fraction(1, 2)
+    acc = RH.one()
+    for n in range(9):
+        assert x ** n == acc
+        acc = acc * x
+    with pytest.raises(ValueError):
+        x ** -1
+
+
+def test_symbol_d_is_capped():
+    # trial division up to sqrt(d) would not finish for a d this large
+    with pytest.raises(ValueError, match="'s'"):
+        SymbolDecl("s", d=10**40 + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        SymbolDecl("s", d=MAX_QUADRATIC_D + 1)
+    assert SymbolDecl("s", d=MAX_QUADRATIC_D - 11).is_quadratic  # a prime
+
+
+def test_dependent_symbols_found_beyond_float_precision():
+    # d's p1 p2, p2 p3, p3 p4, p4 p1 multiply to (p1 p2 p3 p4)^2, about 10**32:
+    # past 2**53 a float square root rounds up here and misses the square
+    p1, p2, p3, p4 = 10007, 10009, 10037, 10039
+    ds = [p1 * p2, p2 * p3, p3 * p4, p4 * p1]
+    with pytest.raises(ValueError, match="dependent"):
+        NumberRing([SymbolDecl(f"s{k}", d=d) for k, d in enumerate(ds)])
+    NumberRing([SymbolDecl(f"s{k}", d=d) for k, d in enumerate(ds[:3])])

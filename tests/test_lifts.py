@@ -41,6 +41,7 @@ from kodaira.lifts import (
     unit_group_order,
     z_coefficient,
 )
+from kodaira.selftest import _closed_power
 from kodaira.surface import KodairaData
 
 from conftest import rand_auto_lift, rand_pi1, translation_lift
@@ -129,9 +130,22 @@ def test_power_is_iterated_composition(rng):
     l = rand_auto_lift(D2, rng)
     assert power(l, 0, D2) == identity_lift(D2)
     acc = identity_lift(D2)
-    for m in range(1, 6):
+    # every bit pattern of square-and-multiply up to five bits
+    for m in range(1, 21):
         acc = compose(l, acc, D2)
         assert power(l, m, D2) == acc
+
+
+def test_power_matches_closed_form_at_large_exponent(rng):
+    for d in (D2, DHEX):
+        l = rand_auto_lift(d, rng)
+        p = power(l, 100, d)
+        assert (p.alpha, p.beta, z_coefficient(p, d), p.v) == _closed_power(l, 100, d)
+
+
+def test_power_rejects_negative_exponents():
+    with pytest.raises(ValueError):
+        power(identity_lift(D2), -1, D2)
 
 
 # --- decks inside the lift group ------------------------------------------
