@@ -409,9 +409,10 @@ def cmd_kernel_class(scene, args, fmt):
         doc = {"kind": "not_in_kernel"}
     elif isinstance(out, FibreTranslation):
         doc = {"kind": "fibre_translation", "element": _fmt_maker(fmt)(out.e)}
-    else:
-        assert isinstance(out, GaugeWithHom)
+    elif isinstance(out, GaugeWithHom):
         doc = {"kind": "gauge_with_hom"}
+    else:
+        raise DomainError(f"unknown kernel class {out!r}")
     _emit(doc, fmt)
 
 

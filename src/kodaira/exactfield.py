@@ -31,7 +31,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, gcd, isqrt, lcm
+from functools import lru_cache
+from math import floor, gcd, inf, lcm
+from numbers import Real
 
 
 class DomainError(Exception):
@@ -55,15 +57,35 @@ class NotCommensurable(DomainError):
 MAX_QUADRATIC_D = 10**12
 
 
-def _is_squarefree(n):
-    if n <= 0 or n % 4 == 0:
+@lru_cache(maxsize=1024)
+def _squarefree_primes(n):
+    """The prime factors of n when n > 0 is squarefree, else None.  Cached:
+    SymbolDecl validates d, and NumberRing then needs the same factors."""
+    if n <= 0:
+        return None
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return None
+            primes.append(p)
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return tuple(primes)
+
+
+def _is_display_magnitude(x):
+    """Whether x is a real number (not a bool) that is positive and finite
+    as a float, the form the numeric embeddings use."""
+    if isinstance(x, bool) or not isinstance(x, Real):
         return False
-    k = 3
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 2
-    return True
+    try:
+        return 0 < float(x) < inf
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -82,6 +104,10 @@ class SymbolDecl:
     approx: float | None = None
 
     def __post_init__(self):
+        if self.approx is not None and not _is_display_magnitude(self.approx):
+            raise ValueError(
+                f"symbol {self.name!r} needs a finite positive real approx, got {self.approx!r}"
+            )
         if self.d is None:
             return
         if not isinstance(self.d, int):
@@ -90,7 +116,7 @@ class SymbolDecl:
             raise ValueError(
                 f"quadratic symbol {self.name!r}: d = {self.d} exceeds the limit {MAX_QUADRATIC_D}"
             )
-        if not _is_squarefree(self.d):
+        if _squarefree_primes(self.d) is None:
             raise ValueError(f"quadratic symbol {self.name!r} needs squarefree d > 0, got {self.d}")
 
     @property
@@ -137,15 +163,30 @@ class NumberRing:
         # The fields Q(sqrt(-d_1), ..., sqrt(-d_k)) are linearly disjoint iff
         # no even-sized subset has a perfect-square product of d's (odd-sized
         # products are automatically fine: (-1)^odd * positive is no square).
+        # Over GF(2), give d the vector of its prime support plus a parity bit
+        # 1: such a subset is exactly a subset of vectors summing to zero, so
+        # the vectors must be independent.  Elimination keeps, with each
+        # reduced vector, the subset of symbols it is the sum of.
         quads = [s.d for s in self.symbols if s.is_quadratic]
-        for mask in range(1, 1 << len(quads)):
-            if bin(mask).count("1") % 2:
-                continue
-            prod = 1
-            for j, d in enumerate(quads):
-                if mask >> j & 1:
-                    prod *= d
-            if isqrt(prod) ** 2 == prod:
+        bit_of = {}
+        pivots = {}  # leading bit -> (reduced vector, subset bitmask)
+        for j, d in enumerate(quads):
+            vec = 1
+            for p in _squarefree_primes(d):
+                vec |= 2 << bit_of.setdefault(p, len(bit_of))
+            subset = 1 << j
+            while vec:
+                top = vec.bit_length() - 1
+                if top not in pivots:
+                    pivots[top] = (vec, subset)
+                    break
+                pvec, psubset = pivots[top]
+                vec, subset = vec ^ pvec, subset ^ psubset
+            else:
+                prod = 1
+                for k, dk in enumerate(quads):
+                    if subset >> k & 1:
+                        prod *= dk
                 raise ValueError(f"dependent quadratic symbols: product of d's {prod} is a square")
 
     def __eq__(self, other):

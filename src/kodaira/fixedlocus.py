@@ -53,7 +53,8 @@ class FixedLocus:
 
 def _unimodular_inverse(u):
     det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
-    assert det in (1, -1)
+    if det not in (1, -1):
+        raise DomainError(f"Smith transform {u} has determinant {det}, not a unit")
     return [[u[1][1] * det, -u[0][1] * det], [-u[1][0] * det, u[0][0] * det]]
 
 

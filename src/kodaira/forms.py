@@ -9,15 +9,24 @@ The module builds the invariant generators of the de Rham and Dolbeault
 cohomologies, verifies their defining identities, and computes the action of
 automorphism lifts on Dolbeault cohomology together with traces,
 determinants and Lefschetz numbers.
+
+The action is computed by naturality: a lift pulls back only the four
+generating 1-forms phi1, phi2, phibar1 and phibar2 by substitution, and each
+higher generator's pullback is the wedge of its factors' pullbacks.  The
+per-surface tables (the generators, the Dolbeault basis and exact forms, and
+the signature word that reads off each coordinate) are built once per
+surface and kept in a small cache keyed on the KodairaData.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from typing import NamedTuple
 
-from .exactfield import DomainError, NumberValue, divide, in_lattice, lattice_coords
-from .lifts import SpecialLift, MapClass, descent_check, deck_lift, z_coefficient
+from .exactfield import DomainError, NumberValue, divide
+from .lifts import MapClass, descent_check, deck_lift, z_coefficient
 from .pi1 import generators, to_affine
 
 ZERO_EXPS = (0, 0, 0, 0)
@@ -185,11 +194,15 @@ def conjugate_form(a):
     return PolyForm(a.ring, out)
 
 
-def substitute(a, images):
+def substitute(a, images, *, d_images=None):
     """Pull back a along the self-map whose variable images are the given
-    0-forms; differentials transform through exterior_d of the images."""
+    0-forms; differentials transform through exterior_d of the images.
+
+    A caller pulling back several forms along one map passes the
+    differentials of the images as d_images, so they are computed once."""
     ring = a.ring
-    d_images = [exterior_d(im) for im in images]
+    if d_images is None:
+        d_images = [exterior_d(im) for im in images]
     out = form_zero(ring)
     for (exps, word), v in a.terms.items():
         term = constant(ring, v)
@@ -278,33 +291,29 @@ def holomorphic_generators(d):
     }
 
 
-BLOCK_ORDER = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2), (2, 2))
+# The generators of each H^{p,q}, and the dbar-exact forms used to reduce
+# pullbacks in bidegrees (1,1) and (1,2), each named by its wedge factors.
+BASIS_LABELS = {
+    (0, 0): ("1",),
+    (1, 0): ("phi1",),
+    (0, 1): ("phibar1", "phibar2"),
+    (2, 0): ("phi1^phi2",),
+    (1, 1): ("phi1^phibar2", "phi2^phibar1"),
+    (0, 2): ("phibar1^phibar2",),
+    (2, 1): ("phi1^phi2^phibar1", "phi1^phi2^phibar2"),
+    (1, 2): ("phi2^phibar1^phibar2",),
+    (2, 2): ("phi1^phi2^phibar1^phibar2",),
+}
+EXACT_LABELS = {(1, 1): ("phi1^phibar1",), (1, 2): ("phi1^phibar1^phibar2",)}
+BLOCK_ORDER = tuple(BASIS_LABELS)
 
 
-def dolbeault_basis(d):
-    """The named generators of each H^{p,q}, plus the dbar-exact forms used
-    to reduce pullbacks in bidegrees (1,1) and (1,2)."""
-    g = holomorphic_generators(d)
-    p1, p2, q1, q2 = g["phi1"], g["phi2"], g["phibar1"], g["phibar2"]
-    basis = {
-        (0, 0): [("1", constant(d.ring, 1))],
-        (1, 0): [("phi1", p1)],
-        (0, 1): [("phibar1", q1), ("phibar2", q2)],
-        (2, 0): [("phi1^phi2", wedge(p1, p2))],
-        (1, 1): [("phi1^phibar2", wedge(p1, q2)), ("phi2^phibar1", wedge(p2, q1))],
-        (0, 2): [("phibar1^phibar2", wedge(q1, q2))],
-        (2, 1): [
-            ("phi1^phi2^phibar1", wedge(wedge(p1, p2), q1)),
-            ("phi1^phi2^phibar2", wedge(wedge(p1, p2), q2)),
-        ],
-        (1, 2): [("phi2^phibar1^phibar2", wedge(p2, wedge(q1, q2)))],
-        (2, 2): [("phi1^phi2^phibar1^phibar2", wedge(wedge(p1, p2), wedge(q1, q2)))],
-    }
-    exacts = {
-        (1, 1): [("phi1^phibar1", wedge(p1, q1))],
-        (1, 2): [("phi1^phibar1^phibar2", wedge(p1, wedge(q1, q2)))],
-    }
-    return basis, exacts
+def _product(label, one_forms, ring):
+    """The wedge product of the 1-forms the label names ("1" is the
+    constant 0-form)."""
+    if label == "1":
+        return constant(ring, 1)
+    return reduce(wedge, (one_forms[name] for name in label.split("^")))
 
 
 def real_generators(d):
@@ -339,10 +348,6 @@ def real_deck_images(g, d):
     ]
 
 
-def _deck_cover_map(g, d):
-    return cover_map(deck_lift(g, d), d)
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -363,9 +368,11 @@ def verify_invariant_generators(d):
     gens = generators(d)
     hol = holomorphic_generators(d)
     for j, g in enumerate(gens, start=1):
-        f = _deck_cover_map(g, d)
+        images = cover_map(deck_lift(g, d), d).images(ring)
+        d_images = [exterior_d(im) for im in images]
         for name in ("phi1", "phi2"):
-            check(f"gamma{j}* {name} = {name}", pullback(hol[name], f), hol[name])
+            pulled = substitute(hol[name], images, d_images=d_images)
+            check(f"gamma{j}* {name} = {name}", pulled, hol[name])
 
     imt = im_value(d.tau_b.value, ring)
     half_i = ring.i() * Fraction(1, 2)
@@ -375,10 +382,14 @@ def verify_invariant_generators(d):
     check("d phi2 = dbar phi2", exterior_d(hol["phi2"]), dbar(hol["phi2"]))
 
     real = real_generators(d)
-    for j, g in enumerate(gens, start=1):
+    decks = []  # per generator: the deck's real images and their differentials
+    for g in gens:
         images = real_deck_images(g, d)
+        decks.append((images, [exterior_d(im) for im in images]))
+    for j, (images, d_images) in enumerate(decks, start=1):
         for name in ("e1", "e2", "e3", "e4"):
-            check(f"gamma{j}* {name} = {name}", substitute(real[name], images), real[name], REAL_NAMES)
+            pulled = substitute(real[name], images, d_images=d_images)
+            check(f"gamma{j}* {name} = {name}", pulled, real[name], REAL_NAMES)
 
     rc, ic = re_value(d.c), im_value(d.c, ring)
     e12 = wedge(real["e1"], real["e2"])
@@ -419,8 +430,9 @@ def verify_invariant_generators(d):
     }
     for name, (form, display) in table.items():
         check(f"d ({name}) = 0", exterior_d(form), form_zero(ring), REAL_NAMES)
-        for j, g in enumerate(gens, start=1):
-            check(f"gamma{j}* ({name}) invariant", substitute(form, real_deck_images(g, d)), form, REAL_NAMES)
+        for j, (images, d_images) in enumerate(decks, start=1):
+            pulled = substitute(form, images, d_images=d_images)
+            check(f"gamma{j}* ({name}) invariant", pulled, form, REAL_NAMES)
         if display is not None:
             check(f"{name} expands as displayed", form, display, REAL_NAMES)
 
@@ -436,12 +448,59 @@ def verify_invariant_generators(d):
     return results
 
 
+class _Generator(NamedTuple):
+    """A basis or exact form of one bidegree with its signature word: a
+    constant-coefficient term that no other form of the bidegree has, and
+    the form's coefficient there."""
+
+    label: str
+    form: PolyForm
+    word: tuple
+    lead: NumberValue
+
+
+@dataclass(frozen=True)
+class _SurfaceForms:
+    """What rho and dolbeault_action need of a surface: the four generating
+    1-forms by name, and per bidegree its generators and exact forms."""
+
+    hol: dict
+    blocks: dict
+
+
+def _signature(form, others):
+    for (exps, word) in sorted(form.terms, key=lambda k: k[1]):
+        if exps != ZERO_EXPS:
+            continue
+        if all(not o.coeff_at(ZERO_EXPS, word) for o in others):
+            return word
+    return None
+
+
+@lru_cache(maxsize=16)
+def _surface_forms(d):
+    """The tables of d, built once: they depend on the surface alone, and
+    one surface recurs across many lifts."""
+    hol = holomorphic_generators(d)
+    blocks = {}
+    for pq, labels in BASIS_LABELS.items():
+        named = [(lab, _product(lab, hol, d.ring)) for lab in labels + EXACT_LABELS.get(pq, ())]
+        entries = []
+        for idx, (lab, form) in enumerate(named):
+            word = _signature(form, [f for j, (_, f) in enumerate(named) if j != idx])
+            if word is None:
+                raise DomainError(f"no signature word for the basis form {lab} in bidegree {pq}")
+            entries.append(_Generator(lab, form, word, form.coeff_at(ZERO_EXPS, word)))
+        blocks[pq] = (tuple(entries[:len(labels)]), tuple(entries[len(labels):]))
+    return _SurfaceForms(hol, blocks)
+
+
 def rho(l, d):
     """The constant with f* phi2 = rho phi1 + phi2, for |alpha| = 1."""
     if (l.alpha * l.alpha.conjugate()).rational() != 1:
         raise DomainError("rho is defined for automorphism lifts with |alpha| = 1")
-    hol = holomorphic_generators(d)
-    diff = pullback(hol["phi2"], cover_map(l, d)) - hol["phi2"]
+    phi2 = _surface_forms(d).hol["phi2"]
+    diff = pullback(phi2, cover_map(l, d)) - phi2
     out = d.ring.zero()
     for (exps, word), v in diff.terms.items():
         if word != (0,) or exps != ZERO_EXPS:
@@ -459,7 +518,7 @@ class DolbeaultAction:
     def __init__(self, blocks):
         self.blocks = blocks
         sizes = {pq: len(mat) for pq, mat in blocks.items()}
-        expected = {pq: 2 if pq in ((0, 1), (1, 1), (2, 1)) else 1 for pq in BLOCK_ORDER}
+        expected = {pq: len(labels) for pq, labels in BASIS_LABELS.items()}
         if sizes != expected:
             raise ValueError(f"block sizes {sizes} do not match the Hodge numbers")
 
@@ -467,30 +526,18 @@ class DolbeaultAction:
         return self.blocks[(p, q)]
 
 
-def _signature(form, others):
-    for (exps, word) in sorted(form.terms, key=lambda k: k[1]):
-        if exps != ZERO_EXPS:
-            continue
-        if all(not o.coeff_at(ZERO_EXPS, word) for o in others):
-            return word
-    raise AssertionError("no signature word for a basis generator")
-
-
 def _express(pb, gens, exacts):
     """Coordinates of pb in the generator basis, modulo the listed exact
-    forms with constant coefficients."""
-    forms = [f for _, f in gens] + [f for _, f in exacts]
+    forms with constant coefficients (both lists of _Generator)."""
     coords = []
     rem = pb
-    for idx, (_, g) in enumerate(gens):
-        word = _signature(g, [f for j, f in enumerate(forms) if j != idx])
-        a = divide(pb.coeff_at(ZERO_EXPS, word), g.coeff_at(ZERO_EXPS, word))
+    for g in gens:
+        a = divide(pb.coeff_at(ZERO_EXPS, g.word), g.lead)
         coords.append(a)
-        rem = rem - g * a
-    for idx, (_, e) in enumerate(exacts):
-        word = _signature(e, [f for j, f in enumerate(forms) if j != len(gens) + idx])
-        b = divide(rem.coeff_at(ZERO_EXPS, word), e.coeff_at(ZERO_EXPS, word))
-        rem = rem - e * b
+        rem = rem - g.form * a
+    for e in exacts:
+        b = divide(rem.coeff_at(ZERO_EXPS, e.word), e.lead)
+        rem = rem - e.form * b
     if rem:
         raise BasisExpressionFailure(
             f"residual {format_form(rem, COMPLEX_NAMES)} outside the generator span"
@@ -499,24 +546,28 @@ def _express(pb, gens, exacts):
 
 
 def dolbeault_action(l, d):
-    """The matrices of f* on every H^{p,q}, computed by genuine pullback and
-    exact basis expression."""
+    """The matrices of f* on every H^{p,q}, computed by exact pullback and
+    exact basis expression.
+
+    Only the four generating 1-forms are pulled back by substitution; each
+    higher generator's pullback is the wedge of its factors' pullbacks, by
+    naturality, f*(a ^ b) = f*a ^ f*b."""
     if descent_check(l, d) != MapClass.AUTOMORPHISM:
         raise DomainError("cohomology action applies to automorphism lifts")
-    basis, exacts = dolbeault_basis(d)
-    f = cover_map(l, d)
+    tables = _surface_forms(d)
+    images = cover_map(l, d).images(d.ring)
+    d_images = [exterior_d(im) for im in images]
+    pulled = {name: substitute(form, images, d_images=d_images) for name, form in tables.hol.items()}
     blocks = {}
     for pq in BLOCK_ORDER:
-        gens = basis[pq]
-        exact = exacts.get(pq, [])
-        rows = []
-        for _, g in gens:
-            rows.append(tuple(_express(pullback(g, f), gens, exact)))
-        blocks[pq] = tuple(rows)
+        gens, exacts = tables.blocks[pq]
+        blocks[pq] = tuple(
+            tuple(_express(_product(g.label, pulled, d.ring), gens, exacts)) for g in gens
+        )
     return DolbeaultAction(blocks)
 
 
-def _det(mat, ring):
+def _det(mat):
     if len(mat) == 1:
         return mat[0][0]
     return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
@@ -531,7 +582,7 @@ def trace_det(act):
     for pq in BLOCK_ORDER:
         mat = act.blocks[pq]
         tr = sum((mat[j][j] for j in range(len(mat))), ring.zero())
-        det = _det(mat, ring)
+        det = _det(mat)
         out[pq] = (tr, det)
         tr_total = tr_total + tr
         det_total = det_total * det

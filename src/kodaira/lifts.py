@@ -366,7 +366,8 @@ def classify_kernel(l, d):
         return NotInKerPsi()
     a, b = lattice_coords(l.beta, d.tau_b)
     normalized = compose(l, deck_lift(from_exponents(-a, -b, 0, 0, d), d), d)
-    assert not normalized.beta
+    if normalized.beta:
+        raise DomainError(f"removing the base translation left beta = {normalized.beta}")
     if normalized.sigma10:
         return GaugeWithHom()
     return FibreTranslation(mod_lattice(normalized.v, d.tau_e))

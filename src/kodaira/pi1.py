@@ -48,13 +48,6 @@ class AffineDeck:
             other.shift_zeta + self.lin_z * other.shift_z + self.shift_zeta,
         )
 
-    def apply(self, z, zeta):
-        return z + self.shift_z, zeta + self.lin_z * z + self.shift_zeta
-
-
-def identity(d):
-    return Pi1Element(LatticeElement(0, 0, d.tau_b), LatticeElement(0, 0, d.tau_e))
-
 
 def from_exponents(m1, m2, m3, m4, d):
     """The element gamma_1^m1 gamma_2^m2 gamma_3^m3 gamma_4^m4."""
@@ -69,12 +62,6 @@ def generators(d):
         from_exponents(0, 0, 1, 0, d),
         from_exponents(0, 0, 0, 1, d),
     )
-
-
-def to_exponents(g):
-    """Inverse of from_exponents; with x = D(x,1)tau - D(x,tau) the word
-    exponents are exactly the stored lattice coordinates."""
-    return g.exponents()
 
 
 def star(g1, g2, d):

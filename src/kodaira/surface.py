@@ -163,7 +163,9 @@ def normalize_c(d):
     except NotInvertible as exc:
         raise NotRepresentable("fibre re-marking leaves the ring") from exc
     out = KodairaData(d.tau_b, tau_e2, d.ring.value(m), d.delta * scale)
-    assert torsion_coefficient(out) == TorsionDecomposition(m, 0, 1)
+    tor_out = torsion_coefficient(out)
+    if tor_out != TorsionDecomposition(m, 0, 1):
+        raise DomainError(f"fibre re-marking gave {tor_out}, not c = {m} as the torsion coefficient")
     return out, scale
 
 
@@ -237,7 +239,8 @@ def sl2_reduce(tau):
         M = Sl2Matrix(0, -1, 1, 0) @ M
     s = ring.symbol(ring.symbols[s_idx].name)
     reduced = Tau(s * q1 + q0)
-    assert mobius(M, tau) == reduced
+    if mobius(M, tau) != reduced:
+        raise DomainError(f"SL(2,Z) reduction of {tau.value}: the matrix does not give {reduced.value}")
     return reduced, M
 
 

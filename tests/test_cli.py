@@ -1,6 +1,10 @@
 """The command-line front end: plumbing, exit codes, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -292,3 +296,36 @@ def test_huge_quadratic_d_is_a_scene_error(capsys, tmp_path):
     scene.write_text(json.dumps(doc))
     code, _, err = run(capsys, "normalize", "--scene", str(scene))
     assert code == 2 and "'big'" in err
+
+
+def test_bad_symbol_approx_is_a_scene_error(capsys, tmp_path):
+    doc = cli.bundled_scene("infinite_translations")
+    doc["ring"][1]["approx"] = "x"
+    with pytest.raises(cli.SceneError, match=r"ring\[1\].*'t'.*'x'"):
+        cli.parse_scene(doc)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "moduli", "--scene", str(scene))
+    assert code == 2 and out == ""
+    assert "'t'" in err and "'x'" in err and "Traceback" not in err
+
+
+def test_unknown_kernel_class_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "classify_kernel", lambda l, d: object())
+    code, _, err = run(capsys, "kernel-class", "--scene", "bundled:bundle_action",
+                       "--lift", "gauge")
+    assert code == 1 and "unknown kernel class" in err
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "kodaira", "scenes"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.splitlines() == cli.bundled_scene_names()
+    done = subprocess.run([sys.executable, "-m", "kodaira", "scene", "--scene",
+                           str(tmp_path / "absent.json")], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2 and "error:" in done.stderr

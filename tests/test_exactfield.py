@@ -1,5 +1,6 @@
 """Ring arithmetic, lattice helpers, Smith normal form, serialization."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -247,3 +248,42 @@ def test_dependent_symbols_found_beyond_float_precision():
     with pytest.raises(ValueError, match="dependent"):
         NumberRing([SymbolDecl(f"s{k}", d=d) for k, d in enumerate(ds)])
     NumberRing([SymbolDecl(f"s{k}", d=d) for k, d in enumerate(ds[:3])])
+
+
+def _first_primes(n):
+    out, k = [], 2
+    while len(out) < n:
+        if all(k % p for p in out):
+            out.append(k)
+        k += 1
+    return out
+
+
+def test_independence_check_scales_to_many_symbols():
+    # every even subset was once tried, 2^30 of them here
+    started = time.perf_counter()
+    ring = NumberRing([SymbolDecl(f"s{p}", d=p) for p in _first_primes(30)])
+    assert time.perf_counter() - started < 1.0
+    assert len(ring.symbols) == 31
+
+
+def test_dependent_symbols_are_rejected():
+    # with i (d = 1): 1 * 2 * 3 * 6 = 36 is a square
+    with pytest.raises(ValueError, match="product of d's 36 is a square"):
+        NumberRing([SymbolDecl("a", d=2), SymbolDecl("b", d=3), SymbolDecl("c", d=6)])
+    with pytest.raises(ValueError, match="product of d's 49 is a square"):
+        NumberRing([SymbolDecl("a", d=7), SymbolDecl("b", d=7)])
+    # no even-sized subset of {1, 2, 3, 5} has a square product
+    NumberRing([SymbolDecl("a", d=2), SymbolDecl("b", d=3), SymbolDecl("c", d=5)])
+
+
+@pytest.mark.parametrize("approx", ["x", True, 0, -1.5, float("nan"), float("inf"),
+                                    pytest.param(10**400, id="huge")])
+def test_symbol_approx_must_be_a_finite_positive_real(approx):
+    with pytest.raises(ValueError, match=r"'t'.*approx"):
+        SymbolDecl("t", approx=approx)
+
+
+def test_symbol_approx_accepts_positive_reals():
+    for approx in (2.5, 3, Fraction(22, 7)):
+        assert SymbolDecl("t", approx=approx).approx == approx

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kodaira import fixedlocus
 from kodaira.exactfield import DomainError, NumberRing, SymbolDecl, Tau
 from kodaira.fixedlocus import (
     ALL,
@@ -161,3 +162,10 @@ def test_fixed_locus_validation():
         FixedLocus(ALL, (R.zero(),))
     with pytest.raises(ValueError):
         FixedLocus(FIBRES, (R.zero(), R.zero()))
+
+
+def test_coset_values_report_a_non_unimodular_transform(monkeypatch):
+    monkeypatch.setattr(fixedlocus, "smith_normal_form",
+                        lambda p: ([[2, 0], [0, 1]], [[1, 0], [0, 2]], [[1, 0], [0, 1]]))
+    with pytest.raises(DomainError, match="determinant 2"):
+        base_fixed_points(order_n_lift(D, canonical_unit(D.tau_b)), D)

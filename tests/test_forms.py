@@ -5,8 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from kodaira import cli, forms
 from kodaira.exactfield import DomainError, NumberRing, SymbolDecl, Tau, divide
 from kodaira.forms import (
+    BASIS_LABELS,
+    BLOCK_ORDER,
+    EXACT_LABELS,
     NonConstantRho,
     acts_trivially_on_cohomology,
     conjugate_form,
@@ -30,10 +34,12 @@ from kodaira.forms import (
     wedge,
 )
 from kodaira.lifts import (
+    MapClass,
     SpecialLift,
     canonical_unit,
     compose,
     deck_lift,
+    descent_check,
     identity_lift,
     order_n_lift,
     z_coefficient,
@@ -217,7 +223,7 @@ def test_mixed_degree_entry_conjugates_rho():
 
 
 def test_action_matches_table_for_random_lifts(rng):
-    for d in (D2, DHEX):
+    for d in (D2, DHEX, DT):
         for _ in range(6):
             l = rand_auto_lift(d, rng)
             act = dolbeault_action(l, d)
@@ -287,3 +293,78 @@ def test_trivial_action_biconditional_examples():
                and in_lattice(l.beta * m, d.tau_b))
         assert lhs == rhs
     assert sum(dolbeault_action(l, d).blocks == ident for l in cases) == 3
+
+
+# --- naturality and the per-surface tables --------------------------------
+
+
+def _direct_action(l, d):
+    """The action with every basis form pulled back by its own substitution:
+    the reference for the naturality route."""
+    tables = forms._surface_forms(d)
+    images = cover_map(l, d).images(d.ring)
+    blocks = {}
+    for pq in BLOCK_ORDER:
+        gens, exacts = tables.blocks[pq]
+        blocks[pq] = tuple(
+            tuple(forms._express(substitute(g.form, images), gens, exacts)) for g in gens
+        )
+    return blocks
+
+
+def test_naturality_matches_direct_substitution(rng):
+    for d in (D2, DHEX, DT):
+        gens = holomorphic_generators(d)
+        for _ in range(4):
+            l = rand_auto_lift(d, rng)
+            images = cover_map(l, d).images(d.ring)
+            pulled = {name: substitute(form, images) for name, form in gens.items()}
+            for labels in list(BASIS_LABELS.values()) + list(EXACT_LABELS.values()):
+                for label in labels:
+                    direct = substitute(forms._product(label, gens, d.ring), images)
+                    assert forms._product(label, pulled, d.ring) == direct, label
+            assert dolbeault_action(l, d).blocks == _direct_action(l, d)
+
+
+def test_surface_tables_are_kept_apart():
+    # equal up to c: phi2, hence rho and the shear entries, depend on c
+    l = SpecialLift(R.one(), I * HALF, R.zero(), R.zero())
+    surfaces = [KodairaData(Tau(I), Tau(I), R.value(c), R.value(0)) for c in (2, 4)]
+    cold = []
+    for d in surfaces:
+        assert descent_check(l, d) == MapClass.AUTOMORPHISM
+        forms._surface_forms.cache_clear()
+        cold.append((rho(l, d), dolbeault_action(l, d).blocks))
+    assert cold[0][0] == -R.one() and cold[1][0] == -2 * R.one()
+    for d, want in list(zip(surfaces, cold)) * 2:
+        assert (rho(l, d), dolbeault_action(l, d).blocks) == want
+    assert forms._surface_forms(surfaces[0]) is not forms._surface_forms(surfaces[1])
+
+
+def test_a_scene_parsed_twice_gives_equal_answers():
+    doc = cli.bundled_scene("order6")
+    first, second = cli.parse_scene(doc), cli.parse_scene(doc)
+    assert first.data == second.data and first.data.ring is not second.data.ring
+    for name in first.lifts:
+        answers = [(rho(s.lifts[name], s.data), dolbeault_action(s.lifts[name], s.data).blocks)
+                   for s in (first, second)]
+        assert answers[0] == answers[1]
+    assert forms._surface_forms(first.data) is forms._surface_forms(second.data)
+
+
+def test_missing_signature_word_is_a_domain_error(monkeypatch):
+    # phibar1 standing in for phibar2 leaves H^{0,1} without a signature word
+    real = forms.holomorphic_generators
+
+    def degenerate(d):
+        out = dict(real(d))
+        out["phibar2"] = out["phibar1"]
+        return out
+
+    forms._surface_forms.cache_clear()
+    monkeypatch.setattr(forms, "holomorphic_generators", degenerate)
+    try:
+        with pytest.raises(DomainError, match="signature word"):
+            dolbeault_action(identity_lift(D2), D2)
+    finally:
+        forms._surface_forms.cache_clear()

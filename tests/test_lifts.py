@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kodaira import pi1
+from kodaira import lifts, pi1
 from kodaira.exactfield import (
     DomainError,
     NumberRing,
@@ -271,6 +271,14 @@ def test_classify_kernel_cases():
     assert out == FibreTranslation(R.value(HALF))
     assert isinstance(classify_kernel(SpecialLift(R.one(), R.zero(), R.value(2), R.zero()), d),
                       GaugeWithHom)
+
+
+def test_classify_kernel_reports_a_broken_invariant(monkeypatch):
+    # a deck that fails to cancel the base translation
+    monkeypatch.setattr(lifts, "deck_lift", lambda g, d: identity_lift(d))
+    d = KodairaData(Tau(I), Tau(I), R.one(), R.value(0))
+    with pytest.raises(DomainError, match="beta"):
+        classify_kernel(SpecialLift(R.one(), I, R.zero(), R.zero()), d)
 
 
 def test_nk_invariants_frozen():

@@ -11,8 +11,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kodaira import pi1
+from kodaira import pi1, surface
 from kodaira.exactfield import (
+    DomainError,
     NumberRing,
     SymbolDecl,
     Tau,
@@ -252,3 +253,18 @@ def test_moduli_point_precision_is_stable():
     assert moduli_point(d, 6) == moduli_point(d, 6)
     j6, _ = moduli_point(d, 6)
     assert j6 == 1728.0
+
+
+def test_normalize_c_reports_a_broken_invariant(monkeypatch):
+    d = KodairaData(Tau(I), Tau(I), 2 * I, R.value(0))
+    real = surface.torsion_coefficient
+    monkeypatch.setattr(surface, "torsion_coefficient",
+                        lambda x: real(x) if x == d else TorsionDecomposition(3, 0, 1))
+    with pytest.raises(DomainError, match="c = 2 as the torsion coefficient"):
+        normalize_c(d)
+
+
+def test_sl2_reduce_reports_a_broken_invariant(monkeypatch):
+    monkeypatch.setattr(surface, "mobius", lambda M, tau: tau)
+    with pytest.raises(DomainError, match="SL"):
+        sl2_reduce(Tau(I + R.one()))
