@@ -22,8 +22,17 @@ from .exactfield import (
     mod_lattice,
     smith_normal_form,
 )
-from .lifts import MapClass, compose, deck_lift, descent_check, equal_mod_pi1, identity_lift
+from .lifts import (
+    MapClass,
+    compose,
+    deck_lift,
+    descent_check,
+    equal_mod_pi1,
+    identity_lift,
+    z_offset,
+)
 from .pi1 import Pi1Element
+from .surface import lattice_frame
 
 ALL = "all"
 EMPTY = "empty"
@@ -103,12 +112,9 @@ def base_fixed_points(l, d):
 
 def _zeta_shift(l, d, z0):
     """The zeta-displacement of the lift at (z0, 0): quadratic + linear + v."""
-    from .exactfield import d_form
-    from .lifts import z_coefficient
-
-    da = d_form(d.tau_b, l.alpha, d.ring.one())
-    quad = d.c * l.alpha * (da * Fraction(1, 2))
-    return quad * z0 * z0 + z_coefficient(l, d) * z0 + l.v
+    off, da = z_offset(l.alpha, l.beta, d)
+    quad = lattice_frame(d).half_c * l.alpha * da
+    return quad * z0 * z0 + (l.sigma10 + off) * z0 + l.v
 
 
 def fibre_is_fixed(l, d, z0):

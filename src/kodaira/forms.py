@@ -26,8 +26,9 @@ from functools import lru_cache, reduce
 from typing import NamedTuple
 
 from .exactfield import DomainError, NumberValue, divide
-from .lifts import MapClass, descent_check, deck_lift, z_coefficient
+from .lifts import MapClass, descent_check, deck_lift, z_offset
 from .pi1 import generators, to_affine
+from .surface import lattice_frame
 
 ZERO_EXPS = (0, 0, 0, 0)
 
@@ -248,16 +249,14 @@ class AffineCoverMap:
 
 def cover_map(l, d):
     """The AffineCoverMap of a SpecialLift (or of a deck re-expressed as one)."""
-    from .exactfield import d_form
-
-    da = d_form(d.tau_b, l.alpha, d.ring.one())
+    off, da = z_offset(l.alpha, l.beta, d)
     return AffineCoverMap(
         a_z=l.alpha,
         b_z=l.beta,
         e_zeta=d.ring.value((l.alpha * l.alpha.conjugate()).rational()),
         q0=l.v,
-        q1=z_coefficient(l, d),
-        q2=d.c * l.alpha * (da * Fraction(1, 2)),
+        q1=l.sigma10 + off,
+        q2=lattice_frame(d).half_c * l.alpha * da,
     )
 
 

@@ -15,7 +15,9 @@ Phi descends to the surface exactly when two lattice conditions hold
 root of unity.  Descending lifts form a group under composition, and this
 module computes its structure: the conjugation action on the fundamental
 group, the semidirect splitting over the base rotation, the kernel of the
-action on the base, and the abelian invariants of N/K.
+action on the base, and the abelian invariants of N/K.  The constants of
+the surface (epsilon, c/2, the unit powers, the inverse rotations) come from
+surface.lattice_frame, built once per surface.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .exactfield import (
     NotInvertible,
     NumberValue,
     cokernel_invariants,
-    d_form,
+    decompose,
     divide,
     in_lattice,
     lattice_coords,
@@ -39,7 +41,8 @@ from .exactfield import (
     smith_normal_form,
 )
 from .pi1 import from_exponents, to_affine
-from .surface import sl2_reduce
+from .surface import canonical_unit, lattice_frame
+from .surface import unit_group_order  # noqa: F401  (part of this module's API)
 
 
 class LatticeViolation(DomainError):
@@ -97,31 +100,38 @@ class GaugeWithHom:
     each fibre by a different element."""
 
 
-def epsilon(d):
-    """delta - c tau_B / 2."""
-    return d.delta - d.c * d.tau_b.value * Fraction(1, 2)
-
-
 def identity_lift(d):
     z = d.ring.zero()
     return SpecialLift(d.ring.one(), z, z, z)
 
 
+def skew(x, tau):
+    """(D(x, 1), D(x, tau)) from one decompose: for x = a*tau + b they are
+    a and -b (d_form decomposes both of its arguments)."""
+    a, b = decompose(x, tau)
+    return a, -b
+
+
+def z_offset(alpha, beta, d):
+    """(u - sigma10, D(alpha, 1)) for a lift with this alpha and beta."""
+    f = lattice_frame(d)
+    da, dt = skew(alpha, d.tau_b)
+    return (d.c * beta + f.epsilon - f.half_c * dt) * da, da
+
+
 def z_coefficient(l, d):
     """The coefficient u of z in the fibre component."""
-    t = d.tau_b
-    a = d_form(t, l.alpha, d.ring.one())
-    return l.sigma10 + (
-        d.c * l.beta + epsilon(d) - d.c * (d_form(t, l.alpha, t.value) * Fraction(1, 2))
-    ) * a
+    return l.sigma10 + z_offset(l.alpha, l.beta, d)[0]
 
 
 def _sigma10_from_u(alpha, beta, u, d):
-    t = d.tau_b
-    a = d_form(t, alpha, d.ring.one())
-    return u - (
-        d.c * beta + epsilon(d) - d.c * (d_form(t, alpha, t.value) * Fraction(1, 2))
-    ) * a
+    return u - z_offset(alpha, beta, d)[0]
+
+
+def _bracket(alpha, dt, d):
+    """|tau_B|^2 D(alpha tau_B, 1) - tau_B D(alpha, tau_B), with dt = D(alpha, tau_B)."""
+    t = d.tau_b.value
+    return t * t.conjugate() * decompose(alpha * t, d.tau_b)[0] - t * dt
 
 
 def _norm(x):
@@ -145,38 +155,36 @@ def descent_check(l, d):
     _validate(l, d)
     if not in_lattice(l.sigma10, d.tau_e):
         return MapClass.NOT_DESCENDING
-    t = d.tau_b
-    one = d.ring.one()
-    a = d_form(t, l.alpha, one)
-    bracket = (
-        t.value * t.value.conjugate() * d_form(t, l.alpha * t.value, one)
-        - t.value * d_form(t, l.alpha, t.value)
-    )
+    f = lattice_frame(d)
+    da, dt = skew(l.alpha, d.tau_b)
     cond = (
-        l.sigma10 * t.value
-        - l.alpha.conjugate() * (d.c * l.beta + (one - l.alpha) * epsilon(d))
-        + d.c * bracket * (a * Fraction(1, 2))
+        l.sigma10 * d.tau_b.value
+        - l.alpha.conjugate() * (d.c * l.beta + (d.ring.one() - l.alpha) * f.epsilon)
+        + f.half_c * _bracket(l.alpha, dt, d) * da
     )
     if not in_lattice(cond, d.tau_e):
         return MapClass.NOT_DESCENDING
     return MapClass.AUTOMORPHISM if _norm(l.alpha) == 1 else MapClass.ENDOMORPHISM
 
 
-def sigma_map(l, d, g):
-    """The fibre part of the conjugation action of Phi on the deck of g."""
-    t = d.tau_b
-    one = d.ring.one()
+def sigma_map(l, d, g, ax=None):
+    """The fibre part of the conjugation action of Phi on the deck of g.
+
+    ax, when given, holds the coordinates (a, b) of alpha x = a*tau_B + b,
+    which conjugate_deck has already read off.
+    """
+    f = lattice_frame(d)
     x = g.x.value()
-    ax = l.alpha * x
+    xa, xb = decompose(l.alpha * x, d.tau_b) if ax is None else ax
     norm = _norm(l.alpha)
-    d_a_1 = d_form(t, l.alpha, one)
-    # D(x, 1) = a and D(x, tau_B) = -b on lattice coordinates
-    inner = d_form(t, ax, one) * d_form(t, ax, t.value) - norm * g.x.a * (-g.x.b)
+    da, dt = skew(l.alpha, d.tau_b)
+    # D(y, 1) = a and D(y, tau_B) = -b for y = a*tau_B + b
+    inner = xa * (-xb) - norm * g.x.a * (-g.x.b)
     out = (
         l.sigma10 * x
-        - l.alpha.conjugate() * (d.c * l.beta + (one - l.alpha) * epsilon(d)) * g.x.a
-        + d.c * (inner * Fraction(1, 2))
-        - d.c * x * (d_a_1 * d_form(t, l.alpha, t.value) * Fraction(1, 2))
+        - l.alpha.conjugate() * (d.c * l.beta + (d.ring.one() - l.alpha) * f.epsilon) * g.x.a
+        + f.half_c * inner
+        - f.half_c * x * (da * dt)
         + g.y.value() * norm
     )
     if not in_lattice(out, d.tau_e):
@@ -190,22 +198,21 @@ def conjugate_deck(l, d, g):
         xa, xb = lattice_coords(l.alpha * g.x.value(), d.tau_b)
     except NotInSpan as exc:
         raise LatticeViolation(str(exc)) from exc
-    ya, yb = lattice_coords(sigma_map(l, d, g), d.tau_e)
+    ya, yb = lattice_coords(sigma_map(l, d, g, (xa, xb)), d.tau_e)
     return from_exponents(xa, xb, ya, yb, d)
 
 
 def compose(l1, l2, d):
     """The lift of f1 after f2, back in (alpha, beta, sigma10, v) form."""
-    one = d.ring.one()
     alpha = l1.alpha * l2.alpha
     beta = l1.alpha * l2.beta + l1.beta
-    u1, u2 = z_coefficient(l1, d), z_coefficient(l2, d)
+    off1, da1 = z_offset(l1.alpha, l1.beta, d)
+    u1, u2 = l1.sigma10 + off1, z_coefficient(l2, d)
     norm1 = _norm(l1.alpha)
-    da1 = d_form(d.tau_b, l1.alpha, one)
     u = u2 * norm1 + d.c * l1.alpha * l2.alpha * l2.beta * da1 + u1 * l2.alpha
     v = (
         l2.v * norm1
-        + d.c * l1.alpha * l2.beta * l2.beta * (da1 * Fraction(1, 2))
+        + lattice_frame(d).half_c * l1.alpha * l2.beta * l2.beta * da1
         + u1 * l2.beta
         + l1.v
     )
@@ -217,11 +224,11 @@ def invert(l, d):
     if _norm(l.alpha) != 1:
         raise NotInvertible("only lifts with |alpha|^2 = 1 invert within the family")
     ab = l.alpha.conjugate()
-    u = z_coefficient(l, d)
-    da = d_form(d.tau_b, l.alpha, d.ring.one())
+    off, da = z_offset(l.alpha, l.beta, d)
+    u = l.sigma10 + off
     beta = -(ab * l.beta)
     u_inv = d.c * ab * l.beta * da - u * ab
-    v_inv = -(d.c * ab * l.beta * l.beta * (da * Fraction(1, 2))) + u * ab * l.beta - l.v
+    v_inv = -(lattice_frame(d).half_c * ab * l.beta * l.beta * da) + u * ab * l.beta - l.v
     return SpecialLift(ab, beta, _sigma10_from_u(ab, beta, u_inv, d), v_inv)
 
 
@@ -266,14 +273,11 @@ def order_n_lift(d, omega):
     norm = omega * omega.conjugate()
     if not (norm.is_rational() and norm.rational() == 1):
         raise NotAUnit(f"|{omega}|^2 != 1")
-    da = d_form(t, omega, one)
-    bracket = (
-        t.value * t.value.conjugate() * d_form(t, omega * t.value, one)
-        - t.value * d_form(t, omega, t.value)
-    )
-    beta = divide((omega - one) * epsilon(d), d.c) + omega * bracket * (da * Fraction(1, 2))
+    da, dt = skew(omega, t)
+    bracket = _bracket(omega, dt, d)
+    beta = divide((omega - one) * lattice_frame(d).epsilon, d.c) + omega * bracket * (da * Fraction(1, 2))
     zero = d.ring.zero()
-    u = z_coefficient(SpecialLift(omega, beta, zero, zero), d)
+    u = z_offset(omega, beta, d)[0]
     n = _root_order(omega, d)
     b_i, b_sum, b_sq_sum = zero, zero, zero
     for _ in range(1, n):
@@ -282,32 +286,6 @@ def order_n_lift(d, omega):
         b_sq_sum = b_sq_sum + b_i * b_i
     v = -(d.c * omega * b_sq_sum * (da * Fraction(1, 2)) + u * b_sum) / n
     return SpecialLift(omega, beta, zero, v)
-
-
-def unit_group_order(tau):
-    """2, 4, or 6: how many roots of unity preserve Lambda_tau."""
-    if not tau.is_quadratic_mode():
-        return 2
-    reduced, _ = sl2_reduce(tau)
-    ring = tau.ring
-    if reduced.value == ring.i():
-        return 4
-    s = ring.symbols[reduced.imag_symbol_index()]
-    if s.is_quadratic and s.d == 3 and reduced.value * 2 == ring.symbol(s.name) - 1:
-        return 6
-    return 2
-
-
-def canonical_unit(tau):
-    """A generator of the unit group: i, the hexagonal reduced point plus 1,
-    or -1."""
-    n = unit_group_order(tau)
-    if n == 4:
-        return tau.ring.i()
-    if n == 6:
-        reduced, _ = sl2_reduce(tau)
-        return reduced.value + 1
-    return -tau.ring.one()
 
 
 def as_deck(l, d):
@@ -344,17 +322,21 @@ def factor_semidirect(l, d):
     order-n lift; returns (n_part, exponent)."""
     if descent_check(l, d) != MapClass.AUTOMORPHISM:
         raise DomainError("only automorphism lifts factor over the base rotation")
-    n = unit_group_order(d.tau_b)
-    omega = canonical_unit(d.tau_b)
-    base = order_n_lift(d, omega)
-    e, p = 0, d.ring.one()
-    while p != l.alpha:
-        p = p * omega
-        e += 1
-        if e >= n:
-            raise DomainError(f"alpha = {l.alpha} is not a power of the canonical unit")
-    n_part = compose(l, invert(power(base, e, d), d), d)
-    return n_part, e
+    f = lattice_frame(d)
+    if l.alpha not in f.unit_powers:
+        raise DomainError(f"alpha = {l.alpha} is not a power of the canonical unit")
+    e = f.unit_powers.index(l.alpha)
+    return compose(l, _inverse_rotation(d, e), d), e
+
+
+def _inverse_rotation(d, e):
+    """The inverse of the e-th power of the canonical order-n lift, built on
+    first use and kept in the surface's LatticeFrame."""
+    cache = lattice_frame(d).inverse_rotations
+    if e not in cache:
+        base = order_n_lift(d, canonical_unit(d.tau_b))
+        cache[e] = invert(power(base, e, d), d)
+    return cache[e]
 
 
 def classify_kernel(l, d):

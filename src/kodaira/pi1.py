@@ -13,10 +13,9 @@ everything here is integer arithmetic on coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactfield import LatticeElement, NumberValue, cokernel_invariants
-from .surface import torsion_coefficient
+from .surface import lattice_frame
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def generators(d):
 def star(g1, g2, d):
     """The group law.  D(x, tau_B) = -b and D(x', 1) = a' on coordinates, so
     the fibre correction is -b1 * a2 copies of c."""
-    ca, cb = _c_coords(d)
+    ca, cb = lattice_frame(d).c_coords
     n = -g1.x.b * g2.x.a
     return Pi1Element(
         LatticeElement(g1.x.a + g2.x.a, g1.x.b + g2.x.b, d.tau_b),
@@ -77,17 +76,12 @@ def star(g1, g2, d):
 
 def inverse(g, d):
     """(-x, -y + D(x, tau_B) D(x, 1) c)."""
-    ca, cb = _c_coords(d)
+    ca, cb = lattice_frame(d).c_coords
     n = -g.x.b * g.x.a
     return Pi1Element(
         LatticeElement(-g.x.a, -g.x.b, d.tau_b),
         LatticeElement(-g.y.a + n * ca, -g.y.b + n * cb, d.tau_e),
     )
-
-
-def _c_coords(d):
-    tor = torsion_coefficient(d)
-    return tor.m * tor.p, tor.m * tor.q
 
 
 def is_central(g):
@@ -103,8 +97,8 @@ def to_affine(g, d):
     """
     a, b = g.x.a, g.x.b  # D(x, 1) = a, D(x, tau_B) = -b
     x = g.x.value()
-    half = Fraction(1, 2)
-    extra = d.delta - d.c * d.tau_b.value * half + d.c * Fraction(b, 2) + d.c * x * half
+    f = lattice_frame(d)  # epsilon = delta - tau_B c / 2
+    extra = f.epsilon + f.half_c * b + f.half_c * x
     return AffineDeck(x, d.c * a, g.y.value() + extra * a)
 
 
@@ -114,6 +108,6 @@ def abelianization_invariants(d):
     The only relation is the commutator (0, c), so the quotient is
     Z^3 + Z/m with m the torsion coefficient; torsion is omitted when m = 1.
     """
-    ca, cb = _c_coords(d)
+    ca, cb = lattice_frame(d).c_coords
     free, torsion = cokernel_invariants([[0], [0], [ca], [cb]], 4)
     return free, torsion

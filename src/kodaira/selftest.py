@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import pi1
 from .cli import bundled_scene, parse_scene
 from .exactfield import (
+    DomainError,
     NumberRing,
     SymbolDecl,
     Tau,
@@ -140,7 +141,8 @@ def _rand_auto_lift(d, rng, rotations=True):
         else:
             piece = power(base, rng.randint(1, n - 1), d)
         out = compose(out, piece, d)
-    assert descent_check(out, d) == MapClass.AUTOMORPHISM
+    if descent_check(out, d) != MapClass.AUTOMORPHISM:
+        raise DomainError(f"the sampled lift {out} is not an automorphism")
     return out
 
 
@@ -534,7 +536,8 @@ def check_fixed_loci():
     for _ in range(30):
         beta = _rand_lattice(d.tau_b, rng)
         l0 = SpecialLift(-R.one(), beta, R.one(), R.zero())
-        assert descent_check(l0, d) == MapClass.AUTOMORPHISM
+        if descent_check(l0, d) != MapClass.AUTOMORPHISM:
+            raise DomainError(f"the involution {l0} is not an automorphism")
         good = SpecialLift(l0.alpha, beta, l0.sigma10, -(l0.sigma10 * beta) * half)
         if fixed_locus(good, d).kind != FIBRES:
             return False, f"v = -sigma beta/2 found no fixed fibre at beta = {beta}"

@@ -17,8 +17,9 @@ floats; it is never used to decide anything.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import floor, gcd, sqrt
 
 from .exactfield import (
@@ -244,25 +245,92 @@ def sl2_reduce(tau):
     return reduced, M
 
 
+def unit_group_order(tau):
+    """2, 4, or 6: how many roots of unity preserve Lambda_tau."""
+    if not tau.is_quadratic_mode():
+        return 2
+    reduced, _ = sl2_reduce(tau)
+    ring = tau.ring
+    if reduced.value == ring.i():
+        return 4
+    s = ring.symbols[reduced.imag_symbol_index()]
+    if s.is_quadratic and s.d == 3 and reduced.value * 2 == ring.symbol(s.name) - 1:
+        return 6
+    return 2
+
+
+def canonical_unit(tau):
+    """A generator of the unit group: i, the hexagonal reduced point plus 1,
+    or -1."""
+    n = unit_group_order(tau)
+    if n == 4:
+        return tau.ring.i()
+    if n == 6:
+        reduced, _ = sl2_reduce(tau)
+        return reduced.value + 1
+    return -tau.ring.one()
+
+
+@dataclass(frozen=True, eq=False)
+class LatticeFrame:
+    """The lattice constants of one surface, which every lift over it uses.
+
+    epsilon = delta - c tau_B / 2 and half_c = c / 2; c_coords = (a, b) with
+    c = a tau_E + b; unit_powers = (1, omega, ..., omega^(n-1)) for the
+    canonical unit omega of order n.  inverse_rotations maps an exponent e
+    to the inverse of the e-th power of the canonical order-n lift; lifts
+    fills it on first use of each e.
+    """
+
+    epsilon: NumberValue
+    half_c: NumberValue
+    c_coords: tuple[int, int]
+    unit_powers: tuple
+    inverse_rotations: dict = field(default_factory=dict)
+
+
+@lru_cache(maxsize=16)
+def lattice_frame(d):
+    """The LatticeFrame of d, built once: the constants depend on the surface
+    alone, and one surface recurs across many lifts and group elements."""
+    half_c = d.c * Fraction(1, 2)
+    omega = canonical_unit(d.tau_b)
+    powers = [d.ring.one()]
+    for _ in range(1, unit_group_order(d.tau_b)):
+        powers.append(powers[-1] * omega)
+    return LatticeFrame(
+        epsilon=d.delta - half_c * d.tau_b.value,
+        half_c=half_c,
+        c_coords=lattice_coords(d.c, d.tau_e),
+        unit_powers=tuple(powers),
+    )
+
+
 def is_isomorphic(d1, d2):
     """Whether two data tuples define isomorphic surfaces.
 
     Exact decision: equal torsion coefficients, SL(2,Z)-equivalent tau_B
-    (compared through sl2_reduce) and, after normalizing c and delta on both
-    sides, tau_E's differing by an integer.
+    and, after normalizing c and delta on both sides, tau_E's differing by an
+    integer.  tau_B are compared through sl2_reduce, up to an integer: a
+    quadratic tau_B reduces to one canonical point, and for any other tau_B
+    the integer shifts are the only re-markings the ring can represent.
     """
     if torsion_coefficient(d1).m != torsion_coefficient(d2).m:
         return False
     r1, _ = sl2_reduce(d1.tau_b)
     r2, _ = sl2_reduce(d2.tau_b)
-    if r1 != r2:
+    # values of different rings do not compare (their monomials index different symbols)
+    if r1.ring != r2.ring or not _is_integer(r1.value - r2.value):
         return False
     n1, _ = normalize_c(d1)
     n2, _ = normalize_c(d2)
     n1, _ = normalize_delta(n1)
     n2, _ = normalize_delta(n2)
-    diff = n1.tau_e.value - n2.tau_e.value
-    return diff.is_rational() and diff.rational().denominator == 1
+    return _is_integer(n1.tau_e.value - n2.tau_e.value)
+
+
+def _is_integer(x):
+    return x.is_rational() and x.rational().denominator == 1
 
 
 _N_TERMS = 40
@@ -314,16 +382,34 @@ def _round_sig(x, digits):
     return float(f"%.{digits - 1}e" % x)
 
 
+def _reduce_numeric(z, max_steps=1000):
+    """A point of the standard fundamental domain SL(2,Z)-equivalent to the
+    complex number z (Im z > 0), by translations and z -> -1/z.
+
+    Each inversion raises Im z, so the loop ends; max_steps only bounds it
+    against float rounding at |z| = 1.
+    """
+    for _ in range(max_steps):
+        z -= round(z.real)
+        if abs(z) >= 1:
+            break
+        z = -1 / z
+    return z
+
+
 def moduli_point(d, precision=15):
     """Display coordinates (j(tau_B), exp(2*pi*i*tau_E)) as complex floats.
 
-    tau_B is reduced first so the q-series converges fast; the result is
-    rounded to `precision` significant digits per component.  Never used in
-    any decision procedure.
+    tau_B is reduced first so the q-series converges fast: exactly when it
+    is quadratic, numerically otherwise.  The result is rounded to
+    `precision` significant digits per component.  Never used in any
+    decision procedure.
     """
     values = _numeric_symbols(d.ring)
     tb, _ = sl2_reduce(d.tau_b)
     tau_b = approx_complex(tb.value, values)
+    if not tb.is_quadratic_mode():
+        tau_b = _reduce_numeric(tau_b)
     tau_e = approx_complex(d.tau_e.value, values)
     qb = cmath.exp(2j * cmath.pi * tau_b)
     j = _J_COEFFS[0] / qb + sum(a * qb**k for k, a in enumerate(_J_COEFFS[1:]))

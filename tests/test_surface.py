@@ -235,6 +235,37 @@ def test_is_isomorphic_basics():
     assert not is_isomorphic(d1, d4)  # different torsion coefficient
 
 
+def test_is_isomorphic_across_an_integer_shift_of_a_transcendental_tau_b():
+    d = KodairaData(Tau(T), Tau(T), RT.value(3), RT.value(0))
+    shifted = change_base_marking(d, Sl2Matrix(1, 1, 0, 1))
+    assert shifted.tau_b == Tau(T + RT.one())
+    assert is_isomorphic(d, shifted) and is_isomorphic(shifted, d)
+    back = change_base_marking(d, Sl2Matrix(1, -2, 0, 1))
+    assert is_isomorphic(d, back)
+    # a half shift changes j(tau_B): no isomorphism
+    half = KodairaData(Tau(T + RT.value(Fraction(1, 2))), Tau(T), RT.value(3), RT.value(0))
+    assert not is_isomorphic(d, half)
+
+
+def test_is_isomorphic_never_matches_symbols_of_different_rings():
+    # r2 and t sit at the same index of their rings; the values must not be compared
+    r2_ring = NumberRing([SymbolDecl("i", d=1), SymbolDecl("r2", d=2)])
+    quad = KodairaData(Tau(r2_ring.symbol("r2")), Tau(r2_ring.i()), r2_ring.one(), r2_ring.zero())
+    trans = KodairaData(Tau(T), Tau(RT.i()), RT.one(), RT.zero())
+    assert not is_isomorphic(quad, trans) and not is_isomorphic(trans, quad)
+
+
+def test_moduli_point_reduces_a_transcendental_tau_b():
+    mpmath = pytest.importorskip("mpmath")
+    ring = NumberRing([SymbolDecl("i", d=1), SymbolDecl("t", approx=3.141592653589793)])
+    tau_b = Tau(ring.value(Fraction(1, 3)) + ring.symbol("t") * Fraction(1, 20))
+    d = KodairaData(tau_b, Tau(ring.i()), ring.one(), ring.value(0))
+    j, _ = moduli_point(d)
+    want = complex(1728 * mpmath.kleinj(mpmath.mpf(1) / 3 + 1j * mpmath.pi / 20))
+    assert abs(want - complex(-756.30, 368.41)) < 0.01
+    assert abs(j - want) <= 1e-12 * abs(want)
+
+
 def test_moduli_point_frozen_values():
     d = KodairaData(Tau(I), Tau(I), R.one(), R.value(0))
     j, q = moduli_point(d)
