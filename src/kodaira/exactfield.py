@@ -205,8 +205,8 @@ class NumberRing:
     def value(self, x):
         """Coerce a rational (or pass through a value of this ring)."""
         if isinstance(x, NumberValue):
-            if x.ring is not self and x.ring != self:
-                raise ValueError("ring mismatch")
+            if x.ring is not self:
+                _check_ring(self, x.ring)
             return x
         if type(x) is not int:
             x = Fraction(x)
@@ -284,11 +284,22 @@ def _scaled(x, p, r):
     return _lowest(x.ring, {m: q * p for m, q in x._n.items()}, x._d * r)
 
 
+def _check_ring(r1, r2):
+    """Values of different rings never combine: their monomials share
+    indices but not meanings.  Callers test r1 is r2 first, the common case."""
+    if r1 != r2:
+        raise ValueError("ring mismatch")
+
+
 def _sum(x, y, sign):
     """x + sign * y, for sign 1 or -1."""
+    if x.ring is not y.ring:
+        _check_ring(x.ring, y.ring)
     yn = y._n
     if not yn:
         return x
+    if not x._n and sign == 1:
+        return y
     xn, xd, yd = x._n, x._d, y._d
     if xd == yd:
         out = dict(xn)
@@ -370,8 +381,6 @@ class NumberValue:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             other = self.ring.value(other)
-        if not self._n:
-            return other
         return _sum(self, other, 1)
 
     __radd__ = __add__
@@ -396,6 +405,8 @@ class NumberValue:
             if isinstance(other, Fraction):
                 return _scaled(self, other.numerator, other.denominator)
             return NotImplemented
+        if self.ring is not other.ring:
+            _check_ring(self.ring, other.ring)
         xn, yn = self._n, other._n
         if len(yn) == 1 and ONE_MONO in yn:
             return _scaled(self, yn[ONE_MONO], other._d)

@@ -10,20 +10,18 @@ cohomologies, verifies their defining identities, and computes the action of
 automorphism lifts on Dolbeault cohomology together with traces,
 determinants and Lefschetz numbers.
 
-The action is computed by naturality: a lift pulls back only the four
-generating 1-forms phi1, phi2, phibar1 and phibar2 by substitution, and each
-higher generator's pullback is the wedge of its factors' pullbacks.  The
-per-surface tables (the generators, the Dolbeault basis and exact forms, and
-the signature word that reads off each coordinate) are built once per
-surface and kept in a small cache keyed on the KodairaData.
+The action needs no pullback of forms.  An automorphism lift acts on the
+four generating 1-forms (phi1, phi2, phibar1, phibar2) by one 4x4 matrix:
+f* phi1 = alpha phi1 and f* phi2 = rho phi1 + phi2, with rho in closed form
+from the lift's cover map, and their conjugates.  Every generator of the
+invariant-form model is a wedge word in those letters, so f* on it is the
+exterior power of that matrix, and its coordinates are read off the words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-from typing import NamedTuple
 
 from .exactfield import DomainError, NumberValue, divide
 from .lifts import MapClass, descent_check, deck_lift, z_offset
@@ -305,14 +303,14 @@ BASIS_LABELS = {
 }
 EXACT_LABELS = {(1, 1): ("phi1^phibar1",), (1, 2): ("phi1^phibar1^phibar2",)}
 BLOCK_ORDER = tuple(BASIS_LABELS)
+# The letters of those words, numbered in this order; each label lists its
+# letters in order, so they form the sorted word _merge_word keys products on.
+LETTERS = ("phi1", "phi2", "phibar1", "phibar2")
 
 
-def _product(label, one_forms, ring):
-    """The wedge product of the 1-forms the label names ("1" is the
-    constant 0-form)."""
-    if label == "1":
-        return constant(ring, 1)
-    return reduce(wedge, (one_forms[name] for name in label.split("^")))
+def _letters(label):
+    """The letter numbers a label names ("1" names none)."""
+    return () if label == "1" else tuple(LETTERS.index(name) for name in label.split("^"))
 
 
 def real_generators(d):
@@ -447,72 +445,26 @@ def verify_invariant_generators(d):
     return results
 
 
-class _Generator(NamedTuple):
-    """A basis or exact form of one bidegree with its signature word: a
-    constant-coefficient term that no other form of the bidegree has, and
-    the form's coefficient there."""
-
-    label: str
-    form: PolyForm
-    word: tuple
-    lead: NumberValue
-
-
-@dataclass(frozen=True)
-class _SurfaceForms:
-    """What rho and dolbeault_action need of a surface: the four generating
-    1-forms by name, and per bidegree its generators and exact forms."""
-
-    hol: dict
-    blocks: dict
-
-
-def _signature(form, others):
-    for (exps, word) in sorted(form.terms, key=lambda k: k[1]):
-        if exps != ZERO_EXPS:
-            continue
-        if all(not o.coeff_at(ZERO_EXPS, word) for o in others):
-            return word
-    return None
-
-
-@lru_cache(maxsize=16)
-def _surface_forms(d):
-    """The tables of d, built once: they depend on the surface alone, and
-    one surface recurs across many lifts."""
-    hol = holomorphic_generators(d)
-    blocks = {}
-    for pq, labels in BASIS_LABELS.items():
-        named = [(lab, _product(lab, hol, d.ring)) for lab in labels + EXACT_LABELS.get(pq, ())]
-        entries = []
-        for idx, (lab, form) in enumerate(named):
-            word = _signature(form, [f for j, (_, f) in enumerate(named) if j != idx])
-            if word is None:
-                raise DomainError(f"no signature word for the basis form {lab} in bidegree {pq}")
-            entries.append(_Generator(lab, form, word, form.coeff_at(ZERO_EXPS, word)))
-        blocks[pq] = (tuple(entries[:len(labels)]), tuple(entries[len(labels):]))
-    return _SurfaceForms(hol, blocks)
-
-
 def rho(l, d):
-    """The constant with f* phi2 = rho phi1 + phi2, for |alpha| = 1."""
+    """The constant with f* phi2 = rho phi1 + phi2, for |alpha| = 1.
+
+    With k = c/(tau_B - conj tau_B), phi2 = k (zbar - z) dz + dzeta, and the
+    cover map (a, b, e, q2, q1, q0) pulls it back to
+    phi2 + (q1 + k a (conj b - b)) phi1 + (2 q2 - k (a^2 - 1)) z dz,
+    so rho is constant exactly when q2 = k (a^2 - 1) / 2."""
     if (l.alpha * l.alpha.conjugate()).rational() != 1:
         raise DomainError("rho is defined for automorphism lifts with |alpha| = 1")
-    phi2 = _surface_forms(d).hol["phi2"]
-    diff = pullback(phi2, cover_map(l, d)) - phi2
-    out = d.ring.zero()
-    for (exps, word), v in diff.terms.items():
-        if word != (0,) or exps != ZERO_EXPS:
-            raise NonConstantRho(
-                f"f* phi2 - phi2 = {format_form(diff, COMPLEX_NAMES)} is not a constant multiple of phi1"
-            )
-        out = v
-    return out
+    f = cover_map(l, d)
+    k = divide(d.c, d.tau_b.value - d.tau_b.conjugate())
+    z_term = f.q2 * 2 - k * (f.a_z * f.a_z - 1)
+    if z_term:
+        raise NonConstantRho(f"f* phi2 - phi2 = rho phi1 + ({z_term}) z dz: rho is not constant")
+    return f.q1 + k * f.a_z * (f.b_z.conjugate() - f.b_z)
 
 
 class DolbeaultAction:
     """Matrices of f* per bidegree; row j holds the basis coordinates of the
-    image of the j-th generator from the tables."""
+    image of the j-th generator in BASIS_LABELS."""
 
     def __init__(self, blocks):
         self.blocks = blocks
@@ -525,44 +477,51 @@ class DolbeaultAction:
         return self.blocks[(p, q)]
 
 
-def _express(pb, gens, exacts):
-    """Coordinates of pb in the generator basis, modulo the listed exact
-    forms with constant coefficients (both lists of _Generator)."""
-    coords = []
-    rem = pb
-    for g in gens:
-        a = divide(pb.coeff_at(ZERO_EXPS, g.word), g.lead)
-        coords.append(a)
-        rem = rem - g.form * a
-    for e in exacts:
-        b = divide(rem.coeff_at(ZERO_EXPS, e.word), e.lead)
-        rem = rem - e.form * b
-    if rem:
-        raise BasisExpressionFailure(
-            f"residual {format_form(rem, COMPLEX_NAMES)} outside the generator span"
-        )
-    return coords
+def _pull_word(letters, images, ring):
+    """f* of the wedge of the letters, in their order, as a map from sorted
+    words to coefficients; images[k] lists the (letter, coefficient) terms
+    of f* of letter k."""
+    out = {(): ring.one()}
+    for k in letters:
+        nxt = {}
+        for word, v in out.items():
+            for j, a in images[k]:
+                sign, merged = _merge_word(word, (j,))
+                if sign:
+                    add = v * a if sign > 0 else -(v * a)
+                    cur = nxt.get(merged)
+                    nxt[merged] = add if cur is None else cur + add
+        out = nxt
+    return out
 
 
 def dolbeault_action(l, d):
-    """The matrices of f* on every H^{p,q}, computed by exact pullback and
-    exact basis expression.
+    """The matrices of f* on every H^{p,q}.
 
-    Only the four generating 1-forms are pulled back by substitution; each
-    higher generator's pullback is the wedge of its factors' pullbacks, by
-    naturality, f*(a ^ b) = f*a ^ f*b."""
+    f* acts on the letters (phi1, phi2, phibar1, phibar2) by alpha and rho
+    (see rho) and their conjugates; each generator, a wedge word in the
+    letters, maps to the wedge of its letters' images.  Its coordinates are
+    the coefficients of the basis words once the dbar-exact words are
+    dropped; any other word left over is a BasisExpressionFailure."""
     if descent_check(l, d) != MapClass.AUTOMORPHISM:
         raise DomainError("cohomology action applies to automorphism lifts")
-    tables = _surface_forms(d)
-    images = cover_map(l, d).images(d.ring)
-    d_images = [exterior_d(im) for im in images]
-    pulled = {name: substitute(form, images, d_images=d_images) for name, form in tables.hol.items()}
+    ring = d.ring
+    one, al, r = ring.one(), l.alpha, rho(l, d)
+    images = (((0, al),), ((0, r), (1, one)), ((2, al.conjugate()),), ((2, r.conjugate()), (3, one)))
     blocks = {}
     for pq in BLOCK_ORDER:
-        gens, exacts = tables.blocks[pq]
-        blocks[pq] = tuple(
-            tuple(_express(_product(g.label, pulled, d.ring), gens, exacts)) for g in gens
-        )
+        labels = BASIS_LABELS[pq]
+        words = [_letters(label) for label in labels]
+        exact = {_letters(label) for label in EXACT_LABELS.get(pq, ())}
+        rows = []
+        for label, word in zip(labels, words):
+            pulled = _pull_word(word, images, ring)
+            rows.append(tuple(pulled.pop(w, ring.zero()) for w in words))
+            rest = [w for w, v in sorted(pulled.items()) if v and w not in exact]
+            if rest:
+                names = ", ".join("^".join(LETTERS[k] for k in w) for w in rest)
+                raise BasisExpressionFailure(f"f* {label} has terms in {names}, outside the span")
+        blocks[pq] = tuple(rows)
     return DolbeaultAction(blocks)
 
 

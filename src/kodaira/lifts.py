@@ -42,7 +42,7 @@ from .exactfield import (
 )
 from .pi1 import from_exponents, to_affine
 from .surface import canonical_unit, lattice_frame
-from .surface import unit_group_order  # noqa: F401  (part of this module's API)
+from .surface import unit_group_order  # noqa: F401  (perfbench/workloads.py reads it here)
 
 
 class LatticeViolation(DomainError):

@@ -1,11 +1,13 @@
 """Ring arithmetic, lattice helpers, Smith normal form, serialization."""
 
+import operator
 import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kodaira import cli
 from kodaira.exactfield import (
     MAX_QUADRATIC_D,
     NotInSpan,
@@ -287,3 +289,28 @@ def test_symbol_approx_must_be_a_finite_positive_real(approx):
 def test_symbol_approx_accepts_positive_reals():
     for approx in (2.5, 3, Fraction(22, 7)):
         assert SymbolDecl("t", approx=approx).approx == approx
+
+
+# r2 and t both sit at index 1 of their rings, so combining by monomial
+# index alone would read one as the other
+R2 = NumberRing([SymbolDecl("r2", d=2)])
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, divide],
+                         ids=["add", "sub", "mul", "divide"])
+def test_values_of_different_rings_do_not_combine(op):
+    r2 = R2.symbol("r2")
+    for x, y in ((r2, T), (T, r2), (R2.zero(), T), (R2.one(), T), (r2, RT.one())):
+        with pytest.raises(ValueError, match="ring mismatch"):
+            op(x, y)
+
+
+def test_equal_rings_from_a_scene_parsed_twice_combine():
+    doc = cli.bundled_scene("order6")
+    a, b = cli.parse_scene(doc).data, cli.parse_scene(doc).data
+    assert a.ring is not b.ring and a.ring == b.ring
+    x, y = a.tau_b.value, b.tau_b.value
+    assert x + y == y + x == x * 2
+    assert x - y == a.ring.zero()
+    assert x * y == x * x
+    assert divide(x, y) == a.ring.one()

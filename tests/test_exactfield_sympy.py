@@ -1,4 +1,4 @@
-"""Ring arithmetic checked against sympy on random values.
+"""Ring arithmetic and Smith normal form checked against sympy.
 
 Quadratic symbols map to sqrt(d)*I and a transcendental t to I*T with T a
 positive sympy symbol, so every ring operation has an independent symbolic
@@ -10,8 +10,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from kodaira.exactfield import NotInvertible, NumberRing, NumberValue, SymbolDecl, divide
+from kodaira.exactfield import (
+    NotInvertible,
+    NumberRing,
+    NumberValue,
+    SymbolDecl,
+    divide,
+    smith_normal_form,
+)
 
 sp = pytest.importorskip("sympy")
 
@@ -77,3 +85,18 @@ def test_divide_matches_sympy_by_laurent_monomials():
         assert same(to_sympy(divide(x, y)), to_sympy(x) / to_sympy(y))
     with pytest.raises(NotInvertible):
         divide(RT.one(), RT.symbol("t") + RT.one())
+
+
+small_matrices = st.integers(1, 4).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+                          min_size=1, max_size=4))
+
+
+@given(small_matrices)
+@settings(max_examples=80)
+def test_smith_normal_form_matches_sympy(mat):
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    want = sympy_snf(sp.Matrix(mat), domain=sp.ZZ)
+    got = smith_normal_form(mat)[1]
+    n = min(len(mat), len(mat[0]))
+    assert [got[k][k] for k in range(n)] == [abs(want[k, k]) for k in range(n)]

@@ -1,7 +1,9 @@
 """Exterior calculus, invariant generators, and the cohomology action."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -11,6 +13,7 @@ from kodaira.forms import (
     BASIS_LABELS,
     BLOCK_ORDER,
     EXACT_LABELS,
+    BasisExpressionFailure,
     NonConstantRho,
     acts_trivially_on_cohomology,
     conjugate_form,
@@ -295,21 +298,37 @@ def test_trivial_action_biconditional_examples():
     assert sum(dolbeault_action(l, d).blocks == ident for l in cases) == 3
 
 
-# --- naturality and the per-surface tables --------------------------------
+# --- the closed form against direct substitution -------------------------
+
+
+def _product(label, one_forms, ring):
+    """The wedge product of the 1-forms the label names ("1" is the
+    constant 0-form)."""
+    if label == "1":
+        return constant(ring, 1)
+    return reduce(wedge, (one_forms[name] for name in label.split("^")))
 
 
 def _direct_action(l, d):
-    """The action with every basis form pulled back by its own substitution:
-    the reference for the naturality route."""
-    tables = forms._surface_forms(d)
-    images = cover_map(l, d).images(d.ring)
-    blocks = {}
+    """Check the action against every basis form pulled back by its own
+    substitution: the pullback less the row's combination of basis forms
+    must be a constant combination of the exact forms of its bidegree."""
+    ring = d.ring
+    gens = holomorphic_generators(d)
+    images = cover_map(l, d).images(ring)
+    act = dolbeault_action(l, d)
     for pq in BLOCK_ORDER:
-        gens, exacts = tables.blocks[pq]
-        blocks[pq] = tuple(
-            tuple(forms._express(substitute(g.form, images), gens, exacts)) for g in gens
-        )
-    return blocks
+        basis = [_product(label, gens, ring) for label in BASIS_LABELS[pq]]
+        for form, row in zip(basis, act.blocks[pq]):
+            rest = substitute(form, images)
+            for b, a in zip(basis, row):
+                rest = rest - b * a
+            for label in EXACT_LABELS.get(pq, ()):
+                # each exact form has a constant term that no other has
+                exact = _product(label, gens, ring)
+                key = next(k for k in sorted(exact.terms) if k[0] == forms.ZERO_EXPS)
+                rest = rest - exact * divide(rest.coeff_at(*key), exact.terms[key])
+            assert not rest, (pq, row)
 
 
 def test_naturality_matches_direct_substitution(rng):
@@ -321,9 +340,49 @@ def test_naturality_matches_direct_substitution(rng):
             pulled = {name: substitute(form, images) for name, form in gens.items()}
             for labels in list(BASIS_LABELS.values()) + list(EXACT_LABELS.values()):
                 for label in labels:
-                    direct = substitute(forms._product(label, gens, d.ring), images)
-                    assert forms._product(label, pulled, d.ring) == direct, label
-            assert dolbeault_action(l, d).blocks == _direct_action(l, d)
+                    direct = substitute(_product(label, gens, d.ring), images)
+                    assert _product(label, pulled, d.ring) == direct, label
+            _direct_action(l, d)
+
+
+def test_answers_need_no_pullback(monkeypatch, rng):
+    cases = []
+    for d in (D2, DHEX, DT):
+        for _ in range(4):
+            l = rand_auto_lift(d, rng)
+            cases.append((l, d, rho(l, d), dolbeault_action(l, d).blocks))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pullback by substitution")
+
+    monkeypatch.setattr(forms, "substitute", refuse)
+    monkeypatch.setattr(forms, "wedge", refuse)
+    for l, d, r, blocks in cases:
+        assert rho(l, d) == r
+        assert dolbeault_action(l, d).blocks == blocks
+
+
+def test_nonconstant_rho_when_q2_is_off(monkeypatch):
+    l = SpecialLift(R.one(), I * HALF, R.zero(), R.zero())
+    d = KodairaData(Tau(I), Tau(I), R.value(2), R.value(0))
+    assert rho(l, d) == -R.one()
+    real = forms.cover_map
+    monkeypatch.setattr(forms, "cover_map",
+                        lambda l, d: replace(real(l, d), q2=real(l, d).q2 + I))
+    with pytest.raises(NonConstantRho, match="z dz: rho is not constant"):
+        rho(l, d)
+    with pytest.raises(NonConstantRho):
+        dolbeault_action(l, d)
+
+
+def test_words_outside_the_span_are_a_basis_expression_failure(monkeypatch):
+    # without the exact word phi1^phibar1, f* (phi1^phibar2) = alpha conj(rho)
+    # phi1^phibar1 + alpha phi1^phibar2 leaves the span of H^{1,1}
+    d = KodairaData(Tau(I), Tau(I), R.value(2), R.value(0))
+    l = SpecialLift(R.one(), I * HALF, R.zero(), R.zero())
+    monkeypatch.setattr(forms, "EXACT_LABELS", {})
+    with pytest.raises(BasisExpressionFailure, match=r"f\* phi1\^phibar2 has terms in phi1\^phibar1"):
+        dolbeault_action(l, d)
 
 
 def test_surface_tables_are_kept_apart():
@@ -333,12 +392,10 @@ def test_surface_tables_are_kept_apart():
     cold = []
     for d in surfaces:
         assert descent_check(l, d) == MapClass.AUTOMORPHISM
-        forms._surface_forms.cache_clear()
         cold.append((rho(l, d), dolbeault_action(l, d).blocks))
     assert cold[0][0] == -R.one() and cold[1][0] == -2 * R.one()
     for d, want in list(zip(surfaces, cold)) * 2:
         assert (rho(l, d), dolbeault_action(l, d).blocks) == want
-    assert forms._surface_forms(surfaces[0]) is not forms._surface_forms(surfaces[1])
 
 
 def test_a_scene_parsed_twice_gives_equal_answers():
@@ -349,22 +406,3 @@ def test_a_scene_parsed_twice_gives_equal_answers():
         answers = [(rho(s.lifts[name], s.data), dolbeault_action(s.lifts[name], s.data).blocks)
                    for s in (first, second)]
         assert answers[0] == answers[1]
-    assert forms._surface_forms(first.data) is forms._surface_forms(second.data)
-
-
-def test_missing_signature_word_is_a_domain_error(monkeypatch):
-    # phibar1 standing in for phibar2 leaves H^{0,1} without a signature word
-    real = forms.holomorphic_generators
-
-    def degenerate(d):
-        out = dict(real(d))
-        out["phibar2"] = out["phibar1"]
-        return out
-
-    forms._surface_forms.cache_clear()
-    monkeypatch.setattr(forms, "holomorphic_generators", degenerate)
-    try:
-        with pytest.raises(DomainError, match="signature word"):
-            dolbeault_action(identity_lift(D2), D2)
-    finally:
-        forms._surface_forms.cache_clear()
