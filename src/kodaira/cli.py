@@ -108,6 +108,7 @@ def parse_scene(doc, name="scene"):
     _check("surface" in doc, f"{name}: missing 'surface'")
 
     decls = []
+    _check(isinstance(doc.get("ring", []), list), "ring: expected a list of symbols")
     for k, entry in enumerate(doc.get("ring", [])):
         _check(isinstance(entry, dict) and "name" in entry,
                f"ring[{k}]: expected an object with a 'name'")

@@ -279,6 +279,8 @@ def _lowest(ring, nums, den):
 
 def _scaled(x, p, r):
     """x * p / r for integers p and r > 0."""
+    if p == r:
+        return x
     if not p:
         return x.ring._zero
     return _lowest(x.ring, {m: q * p for m, q in x._n.items()}, x._d * r)

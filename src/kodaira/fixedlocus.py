@@ -10,11 +10,9 @@ discarded by a lattice membership test on a lifted point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactfield import (
     DomainError,
-    LatticeElement,
     NotInSpan,
     divide,
     in_lattice,
@@ -25,14 +23,13 @@ from .exactfield import (
 from .lifts import (
     MapClass,
     compose,
+    cover_map,
     deck_lift,
     descent_check,
     equal_mod_pi1,
     identity_lift,
-    z_offset,
 )
-from .pi1 import Pi1Element
-from .surface import lattice_frame
+from .pi1 import from_exponents, to_affine
 
 ALL = "all"
 EMPTY = "empty"
@@ -112,28 +109,21 @@ def base_fixed_points(l, d):
 
 def _zeta_shift(l, d, z0):
     """The zeta-displacement of the lift at (z0, 0): quadratic + linear + v."""
-    off, da = z_offset(l.alpha, l.beta, d)
-    quad = lattice_frame(d).half_c * l.alpha * da
-    return quad * z0 * z0 + (l.sigma10 + off) * z0 + l.v
+    f = cover_map(l, d)
+    return (f.q2 * z0 + f.q1) * z0 + f.q0
 
 
 def fibre_is_fixed(l, d, z0):
     """Whether the fibre over the base fixed point z0 consists of fixed
     points: some deck composed with the lift fixes a point over z0."""
     z0 = d.ring.value(z0)
-    mismatch = z0 - (l.alpha * z0 + l.beta)
+    image_z = l.alpha * z0 + l.beta
     try:
-        m1, m2 = lattice_coords(mismatch, d.tau_b)
+        m1, m2 = lattice_coords(z0 - image_z, d.tau_b)
     except NotInSpan:
         raise NotABaseFixedPoint(f"{z0} is not fixed by the base map") from None
-    image_z = l.alpha * z0 + l.beta
-    residual = (
-        _zeta_shift(l, d, z0)
-        + d.c * image_z * m1
-        + d.c * (m1 * m2)
-        + d.c * d.tau_b.value * Fraction(m1 * (m1 - 1), 2)
-        + d.delta * m1
-    )
+    deck = to_affine(from_exponents(m1, m2, 0, 0, d), d)  # carries image_z back to z0
+    residual = _zeta_shift(l, d, z0) + deck.q1 * image_z + deck.q0
     return in_lattice(residual, d.tau_e)
 
 
@@ -141,8 +131,7 @@ def _absorb_beta(l, d):
     """Compose with a deck factor so beta becomes 0 (alpha = 1, beta in
     the base lattice); the automorphism downstairs is unchanged."""
     a, b = lattice_coords(l.beta, d.tau_b)
-    g = Pi1Element(LatticeElement(-a, -b, d.tau_b), LatticeElement(0, 0, d.tau_e))
-    return compose(l, deck_lift(g, d), d)
+    return compose(l, deck_lift(from_exponents(-a, -b, 0, 0, d), d), d)
 
 
 def fixed_locus(l, d):

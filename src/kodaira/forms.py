@@ -8,7 +8,8 @@ so every identity here is checked exactly.
 The module builds the invariant generators of the de Rham and Dolbeault
 cohomologies, verifies their defining identities, and computes the action of
 automorphism lifts on Dolbeault cohomology together with traces,
-determinants and Lefschetz numbers.
+determinants and Lefschetz numbers.  A form is pulled back along a map of the
+cover by substituting map_images of its pi1.CoverMap.
 
 The action needs no pullback of forms.  An automorphism lift acts on the
 four generating 1-forms (phi1, phi2, phibar1, phibar2) by one 4x4 matrix:
@@ -23,10 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import DomainError, NumberValue, divide
-from .lifts import MapClass, descent_check, deck_lift, z_offset
+from .exactfield import DomainError, divide
+from .lifts import MapClass, cover_map, descent_check
 from .pi1 import generators, to_affine
-from .surface import lattice_frame
 
 ZERO_EXPS = (0, 0, 0, 0)
 
@@ -214,52 +214,22 @@ def substitute(a, images, *, d_images=None):
     return out
 
 
-@dataclass(frozen=True)
-class AffineCoverMap:
-    """(z, zeta) -> (a_z z + b_z, e_zeta zeta + q2 z^2 + q1 z + q0)."""
-
-    a_z: NumberValue
-    b_z: NumberValue
-    e_zeta: NumberValue
-    q0: NumberValue
-    q1: NumberValue
-    q2: NumberValue
-
-    def images(self, ring):
-        z, zb = variable(ring, 0), variable(ring, 1)
-        zeta, zetab = variable(ring, 2), variable(ring, 3)
-        big_z = z * self.a_z + constant(ring, self.b_z)
-        big_zb = zb * self.a_z.conjugate() + constant(ring, self.b_z.conjugate())
-        big_zeta = (
-            zeta * self.e_zeta
-            + wedge(z, z) * self.q2
-            + z * self.q1
-            + constant(ring, self.q0)
-        )
-        big_zetab = (
-            zetab * self.e_zeta.conjugate()
-            + wedge(zb, zb) * self.q2.conjugate()
-            + zb * self.q1.conjugate()
-            + constant(ring, self.q0.conjugate())
-        )
-        return [big_z, big_zb, big_zeta, big_zetab]
-
-
-def cover_map(l, d):
-    """The AffineCoverMap of a SpecialLift (or of a deck re-expressed as one)."""
-    off, da = z_offset(l.alpha, l.beta, d)
-    return AffineCoverMap(
-        a_z=l.alpha,
-        b_z=l.beta,
-        e_zeta=d.ring.value((l.alpha * l.alpha.conjugate()).rational()),
-        q0=l.v,
-        q1=l.sigma10 + off,
-        q2=lattice_frame(d).half_c * l.alpha * da,
-    )
+def map_images(f, ring):
+    """The images of (z, zbar, zeta, zetabar) under the CoverMap f, as
+    0-forms to substitute."""
+    z, zb = variable(ring, 0), variable(ring, 1)
+    zeta, zetab = variable(ring, 2), variable(ring, 3)
+    return [
+        z * f.a + constant(ring, f.b),
+        zb * f.a.conjugate() + constant(ring, f.b.conjugate()),
+        zeta * f.e + wedge(z, z) * f.q2 + z * f.q1 + constant(ring, f.q0),
+        zetab * f.e + wedge(zb, zb) * f.q2.conjugate() + zb * f.q1.conjugate()
+        + constant(ring, f.q0.conjugate()),
+    ]
 
 
 def pullback(a, f):
-    return substitute(a, f.images(a.ring))
+    return substitute(a, map_images(f, a.ring))
 
 
 def re_value(w):
@@ -336,12 +306,12 @@ def real_deck_images(g, d):
     aff = to_affine(g, d)
     x, y = variable(ring, 0), variable(ring, 1)
     u, v = variable(ring, 2), variable(ring, 3)
-    rl, il = re_value(aff.lin_z), im_value(aff.lin_z, ring)
+    rl, il = re_value(aff.q1), im_value(aff.q1, ring)
     return [
-        x + constant(ring, re_value(aff.shift_z)),
-        y + constant(ring, im_value(aff.shift_z, ring)),
-        u + x * rl - y * il + constant(ring, re_value(aff.shift_zeta)),
-        v + x * il + y * rl + constant(ring, im_value(aff.shift_zeta, ring)),
+        x + constant(ring, re_value(aff.b)),
+        y + constant(ring, im_value(aff.b, ring)),
+        u + x * rl - y * il + constant(ring, re_value(aff.q0)),
+        v + x * il + y * rl + constant(ring, im_value(aff.q0, ring)),
     ]
 
 
@@ -365,7 +335,7 @@ def verify_invariant_generators(d):
     gens = generators(d)
     hol = holomorphic_generators(d)
     for j, g in enumerate(gens, start=1):
-        images = cover_map(deck_lift(g, d), d).images(ring)
+        images = map_images(to_affine(g, d), ring)
         d_images = [exterior_d(im) for im in images]
         for name in ("phi1", "phi2"):
             pulled = substitute(hol[name], images, d_images=d_images)
@@ -456,10 +426,10 @@ def rho(l, d):
         raise DomainError("rho is defined for automorphism lifts with |alpha| = 1")
     f = cover_map(l, d)
     k = divide(d.c, d.tau_b.value - d.tau_b.conjugate())
-    z_term = f.q2 * 2 - k * (f.a_z * f.a_z - 1)
+    z_term = f.q2 * 2 - k * (f.a * f.a - 1)
     if z_term:
         raise NonConstantRho(f"f* phi2 - phi2 = rho phi1 + ({z_term}) z dz: rho is not constant")
-    return f.q1 + k * f.a_z * (f.b_z.conjugate() - f.b_z)
+    return f.q1 + k * f.a * (f.b.conjugate() - f.b)
 
 
 class DolbeaultAction:

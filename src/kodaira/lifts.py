@@ -10,6 +10,10 @@ stored as (alpha, beta, sigma10, v) with the z-coefficient derived:
     u = sigma10 + D(alpha, 1) (c beta + epsilon - 1/2 D(alpha, tau_B) c),
     epsilon = delta - 1/2 c tau_B.
 
+cover_map gives Phi as a pi1.CoverMap and is the one place its z^2 and z
+coefficients are derived; compose and invert are those of the cover maps,
+read back into this form.
+
 Phi descends to the surface exactly when two lattice conditions hold
 (descent_check); the induced map is an automorphism exactly when alpha is a
 root of unity.  Descending lifts form a group under composition, and this
@@ -40,7 +44,7 @@ from .exactfield import (
     mod_lattice,
     smith_normal_form,
 )
-from .pi1 import from_exponents, to_affine
+from .pi1 import CoverMap, from_exponents, to_affine
 from .surface import canonical_unit, lattice_frame
 from .surface import unit_group_order  # noqa: F401  (perfbench/workloads.py reads it here)
 
@@ -114,18 +118,16 @@ def skew(x, tau):
 
 def z_offset(alpha, beta, d):
     """(u - sigma10, D(alpha, 1)) for a lift with this alpha and beta."""
-    f = lattice_frame(d)
     da, dt = skew(alpha, d.tau_b)
+    if not da:
+        return d.ring.zero(), da
+    f = lattice_frame(d)
     return (d.c * beta + f.epsilon - f.half_c * dt) * da, da
 
 
 def z_coefficient(l, d):
     """The coefficient u of z in the fibre component."""
     return l.sigma10 + z_offset(l.alpha, l.beta, d)[0]
-
-
-def _sigma10_from_u(alpha, beta, u, d):
-    return u - z_offset(alpha, beta, d)[0]
 
 
 def _bracket(alpha, dt, d):
@@ -202,34 +204,30 @@ def conjugate_deck(l, d, g):
     return from_exponents(xa, xb, ya, yb, d)
 
 
+def cover_map(l, d):
+    """The map of C^2 the lift stands for: (alpha, beta, |alpha|^2,
+    1/2 c alpha D(alpha, 1), u, v)."""
+    off, da = z_offset(l.alpha, l.beta, d)
+    q2 = lattice_frame(d).half_c * da * l.alpha
+    return CoverMap(l.alpha, l.beta, _norm(l.alpha), q2, l.sigma10 + off, l.v)
+
+
+def _lift(f, d):
+    """The lift whose cover map is f, with sigma10 read back off q1; e and
+    q2 of a map in the family follow from a, so they are dropped."""
+    return SpecialLift(f.a, f.b, f.q1 - z_offset(f.a, f.b, d)[0], f.q0)
+
+
 def compose(l1, l2, d):
-    """The lift of f1 after f2, back in (alpha, beta, sigma10, v) form."""
-    alpha = l1.alpha * l2.alpha
-    beta = l1.alpha * l2.beta + l1.beta
-    off1, da1 = z_offset(l1.alpha, l1.beta, d)
-    u1, u2 = l1.sigma10 + off1, z_coefficient(l2, d)
-    norm1 = _norm(l1.alpha)
-    u = u2 * norm1 + d.c * l1.alpha * l2.alpha * l2.beta * da1 + u1 * l2.alpha
-    v = (
-        l2.v * norm1
-        + lattice_frame(d).half_c * l1.alpha * l2.beta * l2.beta * da1
-        + u1 * l2.beta
-        + l1.v
-    )
-    return SpecialLift(alpha, beta, _sigma10_from_u(alpha, beta, u, d), v)
+    """The lift of f1 after f2."""
+    return _lift(cover_map(l1, d).compose(cover_map(l2, d)), d)
 
 
 def invert(l, d):
     """The exact inverse map; requires alpha to be a root of unity."""
     if _norm(l.alpha) != 1:
         raise NotInvertible("only lifts with |alpha|^2 = 1 invert within the family")
-    ab = l.alpha.conjugate()
-    off, da = z_offset(l.alpha, l.beta, d)
-    u = l.sigma10 + off
-    beta = -(ab * l.beta)
-    u_inv = d.c * ab * l.beta * da - u * ab
-    v_inv = -(lattice_frame(d).half_c * ab * l.beta * l.beta * da) + u * ab * l.beta - l.v
-    return SpecialLift(ab, beta, _sigma10_from_u(ab, beta, u_inv, d), v_inv)
+    return _lift(cover_map(l, d).inverse(), d)
 
 
 def power(l, m, d):
@@ -296,10 +294,10 @@ def as_deck(l, d):
     if not in_lattice(l.beta, d.tau_b):
         return None
     a, b = lattice_coords(l.beta, d.tau_b)
-    if z_coefficient(l, d) != d.c * a:
+    deck = to_affine(from_exponents(a, b, 0, 0, d), d)
+    if z_coefficient(l, d) != deck.q1:
         return None
-    zeta_const = d.delta * a + d.c * (a * b) + d.c * d.tau_b.value * Fraction(a * (a - 1), 2)
-    y = l.v - zeta_const
+    y = l.v - deck.q0
     if not in_lattice(y, d.tau_e):
         return None
     ya, yb = lattice_coords(y, d.tau_e)
@@ -308,8 +306,7 @@ def as_deck(l, d):
 
 def deck_lift(g, d):
     """The deck transformation of g re-expressed as a SpecialLift."""
-    aff = to_affine(g, d)
-    return SpecialLift(d.ring.one(), aff.shift_z, aff.lin_z, aff.shift_zeta)
+    return _lift(to_affine(g, d), d)
 
 
 def equal_mod_pi1(l1, l2, d):

@@ -8,13 +8,17 @@ the skew form:
 which is exactly how the four affine deck generators compose on the universal
 cover.  Since D takes integer values on the lattice and c is a lattice point,
 everything here is integer arithmetic on coordinates.
+
+CoverMap is the one type for the maps of C^2 that deck transformations and
+lifts of surface maps both are; to_affine gives the deck of an element as one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .exactfield import LatticeElement, NumberValue, cokernel_invariants
+from .exactfield import LatticeElement, NotInvertible, NumberValue, cokernel_invariants
 from .surface import lattice_frame
 
 
@@ -32,20 +36,45 @@ class Pi1Element:
 
 
 @dataclass(frozen=True)
-class AffineDeck:
-    """(z, zeta) -> (z + shift_z, zeta + lin_z * z + shift_zeta)."""
+class CoverMap:
+    """(z, zeta) -> (a z + b, e zeta + q2 z^2 + q1 z + q0).
 
-    shift_z: NumberValue
-    lin_z: NumberValue
-    shift_zeta: NumberValue
+    Deck transformations and lifts of surface maps are all of this shape,
+    and their group law is composition of such maps.  e is rational across
+    the family (1 for decks, |alpha|^2 for lifts), so it is a Fraction."""
+
+    a: NumberValue
+    b: NumberValue
+    e: Fraction
+    q2: NumberValue
+    q1: NumberValue
+    q0: NumberValue
 
     def compose(self, other):
-        """self after other, as affine maps of C^2."""
-        return AffineDeck(
-            self.shift_z + other.shift_z,
-            self.lin_z + other.lin_z,
-            other.shift_zeta + self.lin_z * other.shift_z + self.shift_zeta,
+        """self after other."""
+        a, e, q2, q1 = self.a, self.e, self.q2, self.q1
+        a2, b2 = other.a, other.b
+        return CoverMap(
+            a * a2,
+            a * b2 + self.b,
+            e * other.e,
+            other.q2 * e + q2 * a2 * a2,
+            other.q1 * e + (q2 * 2 * b2 + q1) * a2,
+            other.q0 * e + (q2 * b2 + q1) * b2 + self.q0,
         )
+
+    def inverse(self):
+        """The inverse map; only maps with |a| = 1 and e = 1 invert in the
+        family."""
+        a = self.a
+        if self.e != 1 or a * a.conjugate() != 1:
+            raise NotInvertible(f"|a|^2 = {a * a.conjugate()} and e = {self.e}: "
+                                "only |a| = 1 and e = 1 invert within the family")
+        ab = a.conjugate()
+        nb = -(ab * self.b)  # z = ab Z + nb
+        q2, q1 = self.q2, self.q1
+        return CoverMap(ab, nb, self.e, -(q2 * ab * ab), -((q2 * 2 * nb + q1) * ab),
+                        -((q2 * nb + q1) * nb + self.q0))
 
 
 def from_exponents(m1, m2, m3, m4, d):
@@ -99,7 +128,7 @@ def to_affine(g, d):
     x = g.x.value()
     f = lattice_frame(d)  # epsilon = delta - tau_B c / 2
     extra = f.epsilon + f.half_c * b + f.half_c * x
-    return AffineDeck(x, d.c * a, g.y.value() + extra * a)
+    return CoverMap(d.ring.one(), x, Fraction(1), d.ring.zero(), d.c * a, g.y.value() + extra * a)
 
 
 def abelianization_invariants(d):

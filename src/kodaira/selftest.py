@@ -25,19 +25,16 @@ from .exactfield import (
 )
 from .fixedlocus import EMPTY, FIBRES, base_fixed_points, fixed_locus
 from .forms import (
-    constant,
-    cover_map,
     dolbeault_action,
     im_value,
     lefschetz,
+    map_images,
     rho,
     substitute,
     trace_det,
-    variable,
     verify_invariant_generators,
 )
 from .lifts import (
-    FibreTranslation,
     GaugeWithHom,
     MapClass,
     SpecialLift,
@@ -46,6 +43,7 @@ from .lifts import (
     compose,
     conjugate_deck,
     count_base_translations_infinite,
+    cover_map,
     deck_lift,
     descent_check,
     equal_mod_pi1,
@@ -89,27 +87,27 @@ def _rand_frac(rng, span=6, den=4):
     return Fraction(rng.randint(-span, span), rng.randint(1, den))
 
 
-def _rand_value(ring, rng):
+def rand_value(ring, rng):
     out = ring.value(_rand_frac(rng))
     for k in range(len(ring.symbols)):
         out = out + ring.symbol(ring.symbols[k].name) * _rand_frac(rng)
     return out
 
 
-def _rand_lattice(tau, rng, span=3):
+def rand_lattice(tau, rng, span=3):
     return tau.value * rng.randint(-span, span) + tau.ring.value(rng.randint(-span, span))
 
 
-def _rand_pi1(d, rng, span=9):
+def rand_pi1(d, rng, span=9):
     return pi1.from_exponents(*(rng.randint(-span, span) for _ in range(4)), d)
 
 
-def _translation_lift(d, rng):
+def translation_lift(d, rng):
     """alpha = 1 lift built to satisfy both descent conditions."""
-    sigma = _rand_lattice(d.tau_e, rng)
-    lam = _rand_lattice(d.tau_e, rng)
+    sigma = rand_lattice(d.tau_e, rng)
+    lam = rand_lattice(d.tau_e, rng)
     beta = divide(sigma * d.tau_b.value - lam, d.c)
-    return SpecialLift(d.ring.one(), beta, sigma, _rand_value(d.ring, rng))
+    return SpecialLift(d.ring.one(), beta, sigma, rand_value(d.ring, rng))
 
 
 def _gauge_lift(d, rng):
@@ -123,7 +121,7 @@ def _gauge_lift(d, rng):
             if in_lattice(s * d.tau_b.value, d.tau_e):
                 cands.append(s)
     sigma = cands[rng.randrange(len(cands))]
-    return SpecialLift(ring.one(), ring.zero(), sigma, _rand_value(ring, rng))
+    return SpecialLift(ring.one(), ring.zero(), sigma, rand_value(ring, rng))
 
 
 def _rand_auto_lift(d, rng, rotations=True):
@@ -133,11 +131,11 @@ def _rand_auto_lift(d, rng, rotations=True):
     for _ in range(rng.randint(1, 3)):
         kind = rng.randint(0, 3 if rotations else 2)
         if kind == 0:
-            piece = _translation_lift(d, rng)
+            piece = translation_lift(d, rng)
         elif kind == 1:
             piece = _gauge_lift(d, rng)
         elif kind == 2:
-            piece = deck_lift(_rand_pi1(d, rng, span=3), d)
+            piece = deck_lift(rand_pi1(d, rng, span=3), d)
         else:
             piece = power(base, rng.randint(1, n - 1), d)
         out = compose(out, piece, d)
@@ -169,7 +167,7 @@ def check_group_law():
     for d in datas:
         ident = pi1.from_exponents(0, 0, 0, 0, d)
         for _ in range(200):
-            g1, g2, g3 = (_rand_pi1(d, rng) for _ in range(3))
+            g1, g2, g3 = (rand_pi1(d, rng) for _ in range(3))
             left = pi1.star(pi1.star(g1, g2, d), g3, d)
             right = pi1.star(g1, pi1.star(g2, g3, d), d)
             if left != right:
@@ -217,23 +215,6 @@ def check_abelianization():
 # 3: conjugation against a brute-force oracle
 
 
-def _deck_images(g, d):
-    ring = d.ring
-    aff = pi1.to_affine(g, d)
-    z, zb = variable(ring, 0), variable(ring, 1)
-    zeta, zetab = variable(ring, 2), variable(ring, 3)
-    return [
-        z + constant(ring, aff.shift_z),
-        zb + constant(ring, aff.shift_z.conjugate()),
-        zeta + z * aff.lin_z + constant(ring, aff.shift_zeta),
-        zetab + zb * aff.lin_z.conjugate() + constant(ring, aff.shift_zeta.conjugate()),
-    ]
-
-
-def _map_images(l, d):
-    return cover_map(l, d).images(d.ring)
-
-
 def _compose_images(outer, inner):
     return [substitute(p, inner) for p in outer]
 
@@ -248,15 +229,16 @@ def check_conjugation():
                 ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
         for _ in range(28):
             l = _rand_auto_lift(d, rng)
-            phi = _map_images(l, d)
-            phi_inv = _map_images(invert(l, d), d)
+            phi = map_images(cover_map(l, d), d.ring)
+            phi_inv = map_images(cover_map(invert(l, d), d), d.ring)
             for g in gens:
-                brute = _compose_images(phi, _compose_images(_deck_images(g, d), phi_inv))
-                via_sigma = _deck_images(conjugate_deck(l, d, g), d)
-                if brute != via_sigma:
+                deck = map_images(pi1.to_affine(g, d), d.ring)
+                brute = _compose_images(phi, _compose_images(deck, phi_inv))
+                conj = pi1.to_affine(conjugate_deck(l, d, g), d)
+                if brute != map_images(conj, d.ring):
                     return False, f"conjugation of {g.exponents()} disagreed on {name}"
             for _ in range(2):
-                g1, g2 = _rand_pi1(d, rng, 4), _rand_pi1(d, rng, 4)
+                g1, g2 = rand_pi1(d, rng, 4), rand_pi1(d, rng, 4)
                 lhs = sigma_map(l, d, pi1.star(g1, g2, d))
                 corr = d_form(d.tau_b, l.alpha * g1.x.value(), d.tau_b.value) * \
                     d_form(d.tau_b, l.alpha * g2.x.value(), d.ring.one()) * d.c
@@ -344,7 +326,7 @@ def check_finite_order():
         for k in range(1, n):
             if equal_mod_pi1(power(l, k, d), ident, d):
                 return False, f"{name}: lift^{k} already trivial"
-        samples = [l, compose(l, _translation_lift(d, rng), d)]
+        samples = [l, compose(l, translation_lift(d, rng), d)]
         for sample in samples:
             for m in range(13):
                 p = power(sample, m, d)
@@ -452,7 +434,7 @@ def check_dolbeault():
 
 def check_rho_constant():
     rng = random.Random(SEED + 9)
-    from .forms import holomorphic_generators, pullback, wedge
+    from .forms import holomorphic_generators, pullback
     count = 0
     for name in ("translations", "order4", "order6", "infinite_translations"):
         d = _data(name)
@@ -534,7 +516,7 @@ def check_fixed_loci():
         return False, "shifted involution should act freely"
     # the v = -sigma beta / 2 family, against the half-lattice criterion
     for _ in range(30):
-        beta = _rand_lattice(d.tau_b, rng)
+        beta = rand_lattice(d.tau_b, rng)
         l0 = SpecialLift(-R.one(), beta, R.one(), R.zero())
         if descent_check(l0, d) != MapClass.AUTOMORPHISM:
             raise DomainError(f"the involution {l0} is not an automorphism")

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from kodaira.exactfield import NumberRing, SymbolDecl, Tau, divide
+from kodaira.exactfield import NumberRing, SymbolDecl, Tau
 from kodaira.lifts import (
     MapClass,
     SpecialLift,
@@ -20,8 +20,8 @@ from kodaira.lifts import (
     unit_group_order,
 )
 from kodaira.exactfield import in_lattice
+from kodaira.selftest import rand_lattice, rand_pi1, rand_value, translation_lift  # noqa: F401
 from kodaira.surface import KodairaData
-from kodaira import pi1
 
 
 @pytest.fixture(scope="session")
@@ -62,28 +62,6 @@ def hex_data(hexring):
 def trans_data(transring):
     t = transring.symbol("t")
     return KodairaData(Tau(transring.i()), Tau(t), transring.value(2), transring.value(0))
-
-
-def rand_value(ring, rng, span=6, den=4):
-    out = ring.value(Fraction(rng.randint(-span, span), rng.randint(1, den)))
-    for s in ring.symbols:
-        out = out + ring.symbol(s.name) * Fraction(rng.randint(-span, span), rng.randint(1, den))
-    return out
-
-
-def rand_lattice(tau, rng, span=3):
-    return tau.value * rng.randint(-span, span) + tau.ring.value(rng.randint(-span, span))
-
-
-def rand_pi1(d, rng, span=9):
-    return pi1.from_exponents(*(rng.randint(-span, span) for _ in range(4)), d)
-
-
-def translation_lift(d, rng):
-    sigma = rand_lattice(d.tau_e, rng)
-    lam = rand_lattice(d.tau_e, rng)
-    beta = divide(sigma * d.tau_b.value - lam, d.c)
-    return SpecialLift(d.ring.one(), beta, sigma, rand_value(d.ring, rng))
 
 
 def gauge_lift(d, rng):

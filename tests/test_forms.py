@@ -18,7 +18,6 @@ from kodaira.forms import (
     acts_trivially_on_cohomology,
     conjugate_form,
     constant,
-    cover_map,
     dbar,
     differential,
     dolbeault_action,
@@ -28,6 +27,7 @@ from kodaira.forms import (
     im_value,
     is_symplectic,
     lefschetz,
+    map_images,
     pullback,
     rho,
     substitute,
@@ -41,6 +41,7 @@ from kodaira.lifts import (
     SpecialLift,
     canonical_unit,
     compose,
+    cover_map,
     deck_lift,
     descent_check,
     identity_lift,
@@ -315,7 +316,7 @@ def _direct_action(l, d):
     must be a constant combination of the exact forms of its bidegree."""
     ring = d.ring
     gens = holomorphic_generators(d)
-    images = cover_map(l, d).images(ring)
+    images = map_images(cover_map(l, d), ring)
     act = dolbeault_action(l, d)
     for pq in BLOCK_ORDER:
         basis = [_product(label, gens, ring) for label in BASIS_LABELS[pq]]
@@ -336,7 +337,7 @@ def test_naturality_matches_direct_substitution(rng):
         gens = holomorphic_generators(d)
         for _ in range(4):
             l = rand_auto_lift(d, rng)
-            images = cover_map(l, d).images(d.ring)
+            images = map_images(cover_map(l, d), d.ring)
             pulled = {name: substitute(form, images) for name, form in gens.items()}
             for labels in list(BASIS_LABELS.values()) + list(EXACT_LABELS.values()):
                 for label in labels:

@@ -8,13 +8,14 @@ import pytest
 from kodaira import lifts, pi1
 from kodaira.exactfield import (
     DomainError,
+    NotInvertible,
     NumberRing,
     SymbolDecl,
     Tau,
     d_form,
     in_lattice,
 )
-from kodaira.forms import cover_map, substitute
+from kodaira.forms import map_images, substitute, variable
 from kodaira.lifts import (
     AbelianInvariants,
     FibreTranslation,
@@ -28,6 +29,7 @@ from kodaira.lifts import (
     compose,
     conjugate_deck,
     count_base_translations_infinite,
+    cover_map,
     deck_lift,
     descent_check,
     equal_mod_pi1,
@@ -41,10 +43,11 @@ from kodaira.lifts import (
     unit_group_order,
     z_coefficient,
 )
+from kodaira.pi1 import CoverMap
 from kodaira.selftest import _closed_power
 from kodaira.surface import KodairaData
 
-from conftest import rand_auto_lift, rand_pi1, translation_lift
+from conftest import rand_auto_lift, rand_pi1, rand_value, translation_lift
 
 R = NumberRing()
 I = R.i()
@@ -104,7 +107,7 @@ def test_norm_two_alpha_is_an_endomorphism():
 
 
 def _images(l, d):
-    return cover_map(l, d).images(d.ring)
+    return map_images(cover_map(l, d), d.ring)
 
 
 def test_compose_matches_map_composition(rng):
@@ -124,6 +127,61 @@ def test_invert_is_two_sided(rng):
             li = invert(l, d)
             assert compose(l, li, d) == ident
             assert compose(li, l, d) == ident
+
+
+# --- the one cover-map type -----------------------------------------------
+
+
+def test_cover_map_of_compose_and_invert(rng):
+    # dataclass equality compares all six fields, e and q2 included
+    for d in (D2, DHEX, DT):
+        for _ in range(20):
+            l1, l2 = rand_auto_lift(d, rng), rand_auto_lift(d, rng)
+            f1, f2 = cover_map(l1, d), cover_map(l2, d)
+            assert cover_map(compose(l1, l2, d), d) == f1.compose(f2)
+            assert cover_map(invert(l1, d), d) == f1.inverse()
+            assert cover_map(invert(l2, d), d) == f2.inverse()
+
+
+def test_cover_map_of_compose_with_an_endomorphism(rng):
+    # |alpha|^2 = 2 makes e = 2, so the e terms of compose are exercised
+    d = KodairaData(Tau(I), Tau(I), R.one(), R.value(0))
+    for _ in range(10):
+        endo = SpecialLift(R.one() + I, rand_value(R, rng), rand_value(R, rng), rand_value(R, rng))
+        auto = rand_auto_lift(d, rng)
+        for l1, l2 in ((endo, auto), (auto, endo), (endo, endo)):
+            assert cover_map(compose(l1, l2, d), d) == cover_map(l1, d).compose(cover_map(l2, d))
+        assert cover_map(endo, d).e == 2
+
+
+def _rand_cover_map(ring, rng, a=None, e=None):
+    return CoverMap(rand_value(ring, rng) if a is None else a, rand_value(ring, rng),
+                    Fraction(rng.randint(1, 5), rng.randint(1, 3)) if e is None else e,
+                    rand_value(ring, rng), rand_value(ring, rng), rand_value(ring, rng))
+
+
+def test_cover_map_compose_and_inverse_against_substitution(rng):
+    # any six coefficients, not only those of lifts; inverse on |a| = 1, e = 1
+    units = {R: (I, -R.one()), RH: ((RH.one() + R3) * HALF, RH.i()), RT: (RT.i(),)}
+    for ring, us in units.items():
+        xs = [variable(ring, k) for k in range(4)]
+        for _ in range(8):
+            f, g = _rand_cover_map(ring, rng), _rand_cover_map(ring, rng)
+            brute = [substitute(p, map_images(g, ring)) for p in map_images(f, ring)]
+            assert map_images(f.compose(g), ring) == brute
+            u = _rand_cover_map(ring, rng, a=us[rng.randrange(len(us))], e=Fraction(1))
+            ui = map_images(u.inverse(), ring)
+            assert [substitute(p, ui) for p in map_images(u, ring)] == xs
+            assert [substitute(p, map_images(u, ring)) for p in ui] == xs
+
+
+def test_cover_map_inverse_needs_unit_a_and_e_one(rng):
+    with pytest.raises(NotInvertible):
+        _rand_cover_map(R, rng, a=R.one() + I, e=Fraction(1)).inverse()
+    with pytest.raises(NotInvertible):
+        _rand_cover_map(R, rng, a=I, e=Fraction(2)).inverse()
+    with pytest.raises(NotInvertible):
+        invert(SpecialLift(R.one() + I, R.zero(), R.zero(), R.zero()), D1)
 
 
 def test_power_is_iterated_composition(rng):

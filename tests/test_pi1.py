@@ -86,14 +86,14 @@ def test_generator_images_on_the_cover():
     # gamma1 shears the fibre coordinate by c z; the other three translate
     d = DATAS[1]
     aff = pi1.to_affine(pi1.from_exponents(1, 0, 0, 0, d), d)
-    assert aff.shift_z == d.tau_b.value
-    assert aff.lin_z == d.c
+    assert aff.b == d.tau_b.value
+    assert aff.q1 == d.c
     aff = pi1.to_affine(pi1.from_exponents(0, 1, 0, 0, d), d)
-    assert (aff.shift_z, aff.lin_z, aff.shift_zeta) == (d.ring.one(), d.ring.zero(), d.ring.zero())
+    assert (aff.b, aff.q1, aff.q0) == (d.ring.one(), d.ring.zero(), d.ring.zero())
     aff = pi1.to_affine(pi1.from_exponents(0, 0, 1, 0, d), d)
-    assert (aff.shift_z, aff.lin_z, aff.shift_zeta) == (d.ring.zero(), d.ring.zero(), d.tau_e.value)
+    assert (aff.b, aff.q1, aff.q0) == (d.ring.zero(), d.ring.zero(), d.tau_e.value)
     aff = pi1.to_affine(pi1.from_exponents(0, 0, 0, 1, d), d)
-    assert (aff.shift_z, aff.lin_z, aff.shift_zeta) == (d.ring.zero(), d.ring.zero(), d.ring.one())
+    assert (aff.b, aff.q1, aff.q0) == (d.ring.zero(), d.ring.zero(), d.ring.one())
 
 
 def test_abelianization_matches_torsion_coefficient():

@@ -153,10 +153,10 @@ def _deck_images(g, d):
     z, zb = variable(ring, 0), variable(ring, 1)
     zeta, zetab = variable(ring, 2), variable(ring, 3)
     return [
-        z + constant(ring, aff.shift_z),
-        zb + constant(ring, aff.shift_z.conjugate()),
-        zeta + z * aff.lin_z + constant(ring, aff.shift_zeta),
-        zetab + zb * aff.lin_z.conjugate() + constant(ring, aff.shift_zeta.conjugate()),
+        z + constant(ring, aff.b),
+        zb + constant(ring, aff.b.conjugate()),
+        zeta + z * aff.q1 + constant(ring, aff.q0),
+        zetab + zb * aff.q1.conjugate() + constant(ring, aff.q0.conjugate()),
     ]
 
 
@@ -165,7 +165,7 @@ def _recognize_deck(images, d):
     shift_z = images[0].coeff_at((0, 0, 0, 0), ())
     m1, m2 = lattice_coords(shift_z, d.tau_b)
     partial = pi1.from_exponents(m1, m2, 0, 0, d)
-    rest = images[2].coeff_at((0, 0, 0, 0), ()) - pi1.to_affine(partial, d).shift_zeta
+    rest = images[2].coeff_at((0, 0, 0, 0), ()) - pi1.to_affine(partial, d).q0
     m3, m4 = lattice_coords(rest, d.tau_e)
     g = pi1.from_exponents(m1, m2, m3, m4, d)
     assert _deck_images(g, d) == images
@@ -264,6 +264,36 @@ def test_moduli_point_reduces_a_transcendental_tau_b():
     want = complex(1728 * mpmath.kleinj(mpmath.mpf(1) / 3 + 1j * mpmath.pi / 20))
     assert abs(want - complex(-756.30, 368.41)) < 0.01
     assert abs(j - want) <= 1e-12 * abs(want)
+
+
+def test_moduli_point_j_against_mpmath_kleinj():
+    # tau_B = x + y s for s = i, sqrt(-2), sqrt(-3), sqrt(-7) (reduced exactly)
+    # and for transcendental s (reduced numerically); x and y run over
+    # points inside the fundamental domain and far outside it
+    mpmath = pytest.importorskip("mpmath")
+    symbols = [SymbolDecl("r2", d=2), SymbolDecl("r3", d=3), SymbolDecl("r7", d=7),
+               SymbolDecl("t", approx=3.141592653589793),
+               SymbolDecl("s", approx=0.7390851332151607)]
+    cases = [(R, R.i(), mpmath.mpf(1))]
+    for decl in symbols:
+        ring = NumberRing([SymbolDecl("i", d=1), decl])
+        with mpmath.workdps(30):
+            im = mpmath.sqrt(decl.d) if decl.is_quadratic else mpmath.mpf(decl.approx)
+        cases.append((ring, ring.symbol(decl.name), im))
+    xs = [Fraction(-7, 3), Fraction(-1, 2), Fraction(0), Fraction(1, 5), Fraction(1, 2),
+          Fraction(3, 2), Fraction(5)]
+    ys = [Fraction(1, 9), Fraction(1, 3), Fraction(1, 2), Fraction(1), Fraction(3, 2),
+          Fraction(5, 2)]
+    for ring, s, im in cases:
+        for x in xs:
+            for y in ys:
+                d = KodairaData(Tau(ring.value(x) + s * y), Tau(ring.i()), ring.one(), ring.zero())
+                j, _ = moduli_point(d)
+                with mpmath.workdps(30):
+                    tau = mpmath.mpf(x.numerator) / x.denominator \
+                        + 1j * im * mpmath.mpf(y.numerator) / y.denominator
+                    want = complex(1728 * mpmath.kleinj(tau))
+                assert abs(j - want) <= 1e-10 * max(1728, abs(want)), (ring, x, y)
 
 
 def test_moduli_point_frozen_values():
