@@ -12,7 +12,6 @@ Dolbeault cohomology, and their fixed loci.
 from .exactfield import (
     DomainError,
     LatticeElement,
-    NotCommensurable,
     NotInSpan,
     NotInvertible,
     NumberRing,
@@ -26,7 +25,6 @@ __all__ = [
     "DomainError",
     "KodairaData",
     "LatticeElement",
-    "NotCommensurable",
     "NotInSpan",
     "NotInvertible",
     "NumberRing",

@@ -48,10 +48,6 @@ class NotInSpan(DomainError):
     """Value does not lie in Q*tau + Q."""
 
 
-class NotCommensurable(DomainError):
-    """Imaginary part is not a rational multiple of Im(tau)."""
-
-
 # Largest d a quadratic symbol may declare; it keeps the squarefree test, a
 # trial division up to sqrt(d), below about a second.
 MAX_QUADRATIC_D = 10**12
@@ -456,9 +452,6 @@ class NumberValue:
             self._d,
         )
 
-    def is_real(self):
-        return all(_mono_degree(m) % 2 == 0 for m in self._n)
-
     def is_rational(self):
         n = self._n
         return not n or (len(n) == 1 and ONE_MONO in n)
@@ -682,24 +675,6 @@ def mod_lattice(x, tau):
     return out - floor(out.coeff(ONE_MONO))
 
 
-def im_ratio(x, tau):
-    """Im(x)/Im(tau) as an exact rational.
-
-    Raises NotCommensurable when x - conj(x) is not a rational multiple of
-    tau - conj(tau).
-    """
-    x = tau.ring.value(x)
-    n = x - x.conjugate()
-    if not n:
-        return Fraction(0)
-    d = tau.value - tau.conjugate()
-    mono = d.monomials()[0]
-    r = n.coeff(mono) / d.coeff(mono)
-    if n != d * r:
-        raise NotCommensurable(f"Im({x}) is not commensurable with Im({tau.value})")
-    return r
-
-
 def to_payload(x):
     """Serialize a value as [[monomial, "p/q"], ...] with named symbols."""
     out = []
@@ -719,11 +694,22 @@ def from_payload(ring, payload):
     for mono, q in payload:
         exps = {}
         for name, e in mono:
+            if not isinstance(name, str) or name not in ring._index:
+                raise ValueError(f"unknown symbol {name!r}")
             k = ring._index[name]
-            exps[k] = exps.get(k, 0) + int(e)
+            try:  # through str, so a float or bool is refused, not truncated
+                exps[k] = exps.get(k, 0) + int(str(e))
+            except ValueError:
+                raise ValueError(f"exponent {e!r} of symbol {name!r} is not an integer") from None
         factor, m = ring._reduce(exps)
         num, _, den = str(q).partition("/")
-        total = total + NumberValue(ring, {m: Fraction(int(num), int(den) if den else 1) * factor})
+        try:
+            num, den = int(num), int(den) if den else 1
+        except ValueError:
+            raise ValueError(f"coefficient {q!r} is not an integer or a fraction p/q") from None
+        if not den:
+            raise ValueError(f"coefficient {q!r} has a zero denominator")
+        total = total + NumberValue(ring, {m: Fraction(num, den) * factor})
     return total
 
 

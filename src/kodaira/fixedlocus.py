@@ -20,15 +20,7 @@ from .exactfield import (
     mod_lattice,
     smith_normal_form,
 )
-from .lifts import (
-    MapClass,
-    compose,
-    cover_map,
-    deck_lift,
-    descent_check,
-    equal_mod_pi1,
-    identity_lift,
-)
+from .lifts import MapClass, absorb_beta, as_deck, cover_map, descent_check
 from .pi1 import from_exponents, to_affine
 
 ALL = "all"
@@ -127,18 +119,11 @@ def fibre_is_fixed(l, d, z0):
     return in_lattice(residual, d.tau_e)
 
 
-def _absorb_beta(l, d):
-    """Compose with a deck factor so beta becomes 0 (alpha = 1, beta in
-    the base lattice); the automorphism downstairs is unchanged."""
-    a, b = lattice_coords(l.beta, d.tau_b)
-    return compose(l, deck_lift(from_exponents(-a, -b, 0, 0, d), d), d)
-
-
 def fixed_locus(l, d):
     """The full fixed locus of the automorphism defined by the lift."""
     if descent_check(l, d) != MapClass.AUTOMORPHISM:
         raise DomainError("fixed loci are computed for automorphism lifts")
-    if equal_mod_pi1(l, identity_lift(d), d):
+    if as_deck(l, d) is not None:  # a deck induces the identity
         return FixedLocus(ALL)
     one = d.ring.one()
     if l.alpha != one:
@@ -148,7 +133,7 @@ def fixed_locus(l, d):
         return FixedLocus(FIBRES, tuple(kept))
     if not in_lattice(l.beta, d.tau_b):
         return FixedLocus(EMPTY)
-    norm = _absorb_beta(l, d)
+    norm = absorb_beta(l, d)
     sigma = norm.sigma10
     if not sigma:
         # pure fibre translation (nonzero, or the identity branch above

@@ -443,9 +443,6 @@ class DolbeaultAction:
         if sizes != expected:
             raise ValueError(f"block sizes {sizes} do not match the Hodge numbers")
 
-    def block(self, p, q):
-        return self.blocks[(p, q)]
-
 
 def _pull_word(letters, images, ring):
     """f* of the wedge of the letters, in their order, as a map from sorted

@@ -14,13 +14,18 @@ cover_map gives Phi as a pi1.CoverMap and is the one place its z^2 and z
 coefficients are derived; compose and invert are those of the cover maps,
 read back into this form.
 
-Phi descends to the surface exactly when two lattice conditions hold
-(descent_check); the induced map is an automorphism exactly when alpha is a
-root of unity.  Descending lifts form a group under composition, and this
-module computes its structure: the conjugation action on the fundamental
-group, the semidirect splitting over the base rotation, the kernel of the
-action on the base, and the abelian invariants of N/K.  The constants of
-the surface (epsilon, c/2, the unit powers, the inverse rotations) come from
+Conjugating the deck of (x, y) by Phi gives the deck of (alpha x, sigma(x, y)),
+and the fibre cocycle sigma is written once (_sigma).  Phi descends to the
+surface exactly when sigma(gamma_1) and sigma(gamma_2) = sigma10 lie in
+Lambda_{tau_E} (descent_check); the induced map is an automorphism exactly
+when alpha is a root of unity.  The canonical order-n lift over a unit omega
+is the one with sigma(gamma_1) = sigma(gamma_2) = 0 and Phi^n = id.
+
+Descending lifts form a group under composition, and this module computes
+its structure: the conjugation action on the fundamental group, the
+semidirect splitting over the base rotation, the kernel of the action on the
+base, and the abelian invariants of N/K.  The constants of the surface
+(epsilon, c/2, the unit powers, the inverse rotations) come from
 surface.lattice_frame, built once per surface.
 """
 
@@ -28,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from math import gcd
 
 from .exactfield import (
@@ -130,12 +134,6 @@ def z_coefficient(l, d):
     return l.sigma10 + z_offset(l.alpha, l.beta, d)[0]
 
 
-def _bracket(alpha, dt, d):
-    """|tau_B|^2 D(alpha tau_B, 1) - tau_B D(alpha, tau_B), with dt = D(alpha, tau_B)."""
-    t = d.tau_b.value
-    return t * t.conjugate() * decompose(alpha * t, d.tau_b)[0] - t * dt
-
-
 def _norm(x):
     """|x|^2 as a Fraction (x must be a multiplier, so this is rational)."""
     return (x * x.conjugate()).rational()
@@ -153,42 +151,38 @@ def _validate(l, d):
 
 
 def descent_check(l, d):
-    """NotDescending, Endomorphism, or Automorphism."""
+    """NotDescending, Endomorphism, or Automorphism: Phi descends exactly
+    when sigma(gamma_1) and sigma(gamma_2) = sigma10 lie in Lambda_{tau_E}."""
     _validate(l, d)
-    if not in_lattice(l.sigma10, d.tau_e):
-        return MapClass.NOT_DESCENDING
-    f = lattice_frame(d)
-    da, dt = skew(l.alpha, d.tau_b)
-    cond = (
-        l.sigma10 * d.tau_b.value
-        - l.alpha.conjugate() * (d.c * l.beta + (d.ring.one() - l.alpha) * f.epsilon)
-        + f.half_c * _bracket(l.alpha, dt, d) * da
-    )
-    if not in_lattice(cond, d.tau_e):
+    if not (in_lattice(l.sigma10, d.tau_e)
+            and in_lattice(_sigma(l, d, d.tau_b.value, 1, 0), d.tau_e)):
         return MapClass.NOT_DESCENDING
     return MapClass.AUTOMORPHISM if _norm(l.alpha) == 1 else MapClass.ENDOMORPHISM
 
 
-def sigma_map(l, d, g, ax=None):
-    """The fibre part of the conjugation action of Phi on the deck of g.
+def _sigma(l, d, x, a, b, ax=None):
+    """The fibre part of Phi (x, 0) Phi^-1 for x = a*tau_B + b, the one
+    formula for sigma; the deck of (x, y) adds |alpha|^2 y to it.
 
-    ax, when given, holds the coordinates (a, b) of alpha x = a*tau_B + b,
-    which conjugate_deck has already read off.
+    ax, when given, holds the coordinates (xa, xb) of alpha x = xa*tau_B + xb.
     """
     f = lattice_frame(d)
-    x = g.x.value()
     xa, xb = decompose(l.alpha * x, d.tau_b) if ax is None else ax
-    norm = _norm(l.alpha)
     da, dt = skew(l.alpha, d.tau_b)
     # D(y, 1) = a and D(y, tau_B) = -b for y = a*tau_B + b
-    inner = xa * (-xb) - norm * g.x.a * (-g.x.b)
-    out = (
+    inner = -(xa * xb)
+    if a * b:
+        inner += _norm(l.alpha) * a * b
+    return (
         l.sigma10 * x
-        - l.alpha.conjugate() * (d.c * l.beta + (d.ring.one() - l.alpha) * f.epsilon) * g.x.a
-        + f.half_c * inner
-        - f.half_c * x * (da * dt)
-        + g.y.value() * norm
+        - l.alpha.conjugate() * (d.c * l.beta + (d.ring.one() - l.alpha) * f.epsilon) * a
+        + f.half_c * (inner - x * (da * dt))
     )
+
+
+def sigma_map(l, d, g, ax=None):
+    """sigma(g), the fibre part of Phi deck(g) Phi^-1; ax as in _sigma."""
+    out = _sigma(l, d, g.x.value(), g.x.a, g.x.b, ax) + g.y.value() * _norm(l.alpha)
     if not in_lattice(out, d.tau_e):
         raise LatticeViolation(f"sigma({g.exponents()}) = {out} is not in the fibre lattice")
     return out
@@ -259,30 +253,20 @@ def _root_order(omega, d):
 
 
 def order_n_lift(d, omega):
-    """The canonical lift with alpha = omega, of the same order n as omega.
-
-    sigma10 = 0 and beta solve the descent conditions on the nose; v is the
-    unique choice killing the fibre constant of the n-th power.
-    """
+    """The canonical lift with alpha = omega, of the same order n as omega:
+    sigma10 = 0, beta = omega sigma_0(gamma_1) / c with sigma_0 the sigma of
+    (omega, 0, 0, 0) makes sigma(gamma_1) = 0, and v kills the fibre
+    constant of the n-th power, which is then the identity."""
     t = d.tau_b
-    one = d.ring.one()
     if not (in_lattice(omega, t) and in_lattice(omega * t.value, t)):
         raise NotAUnit(f"{omega} does not preserve the base lattice")
     norm = omega * omega.conjugate()
     if not (norm.is_rational() and norm.rational() == 1):
         raise NotAUnit(f"|{omega}|^2 != 1")
-    da, dt = skew(omega, t)
-    bracket = _bracket(omega, dt, d)
-    beta = divide((omega - one) * lattice_frame(d).epsilon, d.c) + omega * bracket * (da * Fraction(1, 2))
     zero = d.ring.zero()
-    u = z_offset(omega, beta, d)[0]
+    beta = divide(omega * _sigma(SpecialLift(omega, zero, zero, zero), d, t.value, 1, 0), d.c)
     n = _root_order(omega, d)
-    b_i, b_sum, b_sq_sum = zero, zero, zero
-    for _ in range(1, n):
-        b_i = omega * b_i + beta
-        b_sum = b_sum + b_i
-        b_sq_sum = b_sq_sum + b_i * b_i
-    v = -(d.c * omega * b_sq_sum * (da * Fraction(1, 2)) + u * b_sum) / n
+    v = -power(SpecialLift(omega, beta, zero, zero), n, d).v / n
     return SpecialLift(omega, beta, zero, v)
 
 
@@ -314,6 +298,14 @@ def equal_mod_pi1(l1, l2, d):
     return as_deck(compose(l1, invert(l2, d), d), d) is not None
 
 
+def absorb_beta(l, d):
+    """l composed with the deck that cancels its base translation (alpha = 1,
+    beta in Lambda_{tau_B}), so beta becomes 0; the automorphism of the
+    surface is unchanged."""
+    a, b = lattice_coords(l.beta, d.tau_b)
+    return compose(l, deck_lift(from_exponents(-a, -b, 0, 0, d), d), d)
+
+
 def factor_semidirect(l, d):
     """Write l as (alpha = 1 part) composed with a power of the canonical
     order-n lift; returns (n_part, exponent)."""
@@ -343,8 +335,7 @@ def classify_kernel(l, d):
         raise DomainError("kernel classification applies to automorphism lifts")
     if l.alpha != d.ring.one() or not in_lattice(l.beta, d.tau_b):
         return NotInKerPsi()
-    a, b = lattice_coords(l.beta, d.tau_b)
-    normalized = compose(l, deck_lift(from_exponents(-a, -b, 0, 0, d), d), d)
+    normalized = absorb_beta(l, d)
     if normalized.beta:
         raise DomainError(f"removing the base translation left beta = {normalized.beta}")
     if normalized.sigma10:

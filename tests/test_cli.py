@@ -238,6 +238,28 @@ def test_malformed_scene_files(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("path,payload,message", [
+    ("surface.c", [[[], "1/0"]], "coefficient '1/0' has a zero denominator"),
+    ("surface.c", [[[], "x"]], "coefficient 'x' is not an integer or a fraction p/q"),
+    ("surface.c", [[[["z", 1]], "1/1"]], "unknown symbol 'z'"),
+    ("surface.c", [[[[["i"], 1]], "1/1"]], "unknown symbol ['i']"),
+    ("surface.c", [[[["i", 1.5]], "1/1"]], "exponent 1.5 of symbol 'i' is not an integer"),
+    ("lifts.half_period.alpha", [[[], "1/2/3"]], "coefficient '1/2/3' is not an integer"),
+])
+def test_payload_errors_name_the_field_and_value(tmp_path, capsys, path, payload, message):
+    doc = cli.bundled_scene("translations")
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = payload
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-lift", "--scene", str(scene))
+    assert code == 2 and out == ""
+    assert f"{path}: {message}" in err and "Traceback" not in err
+
+
 def test_domain_errors_exit_one(tmp_path, capsys):
     doc = cli.bundled_scene("translations")
     doc["lifts"]["bad"] = {

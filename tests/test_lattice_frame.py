@@ -141,3 +141,33 @@ def test_no_assert_statements_in_the_package():
     ]
     assert len(list(root.rglob("*.py"))) >= 10
     assert not found, f"assert statements in src/kodaira: {found}"
+
+
+def _referenced_names(tree):
+    """Every name, attribute, imported name and string constant in the tree;
+    strings count because perfbench and monkeypatch reach names by string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_package_function_and_class_is_referenced():
+    repo = pathlib.Path(__file__).resolve().parents[1]
+    used = {name for top in ("src", "tests", "perfbench")
+            for path in (repo / top).rglob("*.py")
+            for name in _referenced_names(ast.parse(path.read_text(encoding="utf-8")))}
+    unused = sorted(
+        f"{path.name}:{node.name}"
+        for path in (repo / "src" / "kodaira").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
+    )
+    assert not unused, f"defined in src/kodaira but never referenced: {unused}"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kodaira import lifts, pi1
+from kodaira import cli, lifts, pi1
 from kodaira.exactfield import (
     DomainError,
     NotInvertible,
@@ -14,6 +14,7 @@ from kodaira.exactfield import (
     Tau,
     d_form,
     in_lattice,
+    lattice_coords,
 )
 from kodaira.forms import map_images, substitute, variable
 from kodaira.lifts import (
@@ -43,9 +44,9 @@ from kodaira.lifts import (
     unit_group_order,
     z_coefficient,
 )
-from kodaira.pi1 import CoverMap
+from kodaira.pi1 import CoverMap, to_affine
 from kodaira.selftest import _closed_power
-from kodaira.surface import KodairaData
+from kodaira.surface import KodairaData, lattice_frame
 
 from conftest import rand_auto_lift, rand_pi1, rand_value, translation_lift
 
@@ -95,6 +96,48 @@ def test_lattice_violation_blocks_descent():
     # sigma10 outside the fibre lattice fails the first condition
     l = SpecialLift(R.one(), R.zero(), R.value(HALF), R.zero())
     assert descent_check(l, D2) == MapClass.NOT_DESCENDING
+
+
+def _oracle_class(l, d):
+    """descent_check from maps of C^2 alone: Phi descends when, for g =
+    gamma_1 and gamma_2, Phi deck(g) = deck(g') Phi for some g' in pi1.
+    x' is read off the base parts, and y' off the constant terms."""
+    one, half = d.ring.one(), Fraction(1, 2)
+    da, dt = d_form(d.tau_b, l.alpha, one), d_form(d.tau_b, l.alpha, d.tau_b.value)
+    epsilon = d.delta - d.c * d.tau_b.value * half
+    u = l.sigma10 + (d.c * l.beta + epsilon - d.c * (dt * half)) * da
+    norm = (l.alpha * l.alpha.conjugate()).rational()
+    phi = CoverMap(l.alpha, l.beta, norm, d.c * l.alpha * (da * half), u, l.v)
+    for g in pi1.generators(d)[:2]:
+        lhs = phi.compose(to_affine(g, d))
+        if not in_lattice(lhs.b - phi.b, d.tau_b):
+            return MapClass.NOT_DESCENDING
+        a, b = lattice_coords(lhs.b - phi.b, d.tau_b)
+        rhs = to_affine(pi1.from_exponents(a, b, 0, 0, d), d).compose(phi)
+        if (lhs.a, lhs.b, lhs.e, lhs.q2, lhs.q1) != (rhs.a, rhs.b, rhs.e, rhs.q2, rhs.q1) \
+                or not in_lattice(lhs.q0 - rhs.q0, d.tau_e):
+            return MapClass.NOT_DESCENDING
+    return MapClass.AUTOMORPHISM if norm == 1 else MapClass.ENDOMORPHISM
+
+
+def test_descent_check_matches_the_cover_map_oracle(rng):
+    # automorphism lifts with beta or sigma10 nudged off the descent locus,
+    # and endomorphism lifts (|alpha|^2 = 2, or 3 on the hexagonal base)
+    seen = set()
+    for d, endo in ((D2, 1 + I), (DHEX, R3), (DT, RT.one() + RT.i())):
+        ring = d.ring
+        nudges = [ring.zero(), ring.value(HALF), d.tau_b.value * Fraction(1, 3),
+                  d.tau_e.value, d.tau_e.value * HALF, ring.value(Fraction(1, 4))]
+        for _ in range(20):
+            l = rand_auto_lift(d, rng)
+            l = SpecialLift(l.alpha, l.beta + rng.choice(nudges),
+                            l.sigma10 + rng.choice(nudges), l.v)
+            e = SpecialLift(endo, l.beta, l.sigma10, l.v)
+            for lift in (l, e):
+                want = _oracle_class(lift, d)
+                assert descent_check(lift, d) == want
+                seen.add(want)
+    assert seen == set(MapClass)
 
 
 def test_norm_two_alpha_is_an_endomorphism():
@@ -288,6 +331,20 @@ def test_order_n_is_exact(d, n):
     assert equal_mod_pi1(power(l, n, d), ident, d)
     for k in range(1, n):
         assert not equal_mod_pi1(power(l, k, d), ident, d)
+
+
+@pytest.mark.parametrize("name", cli.bundled_scene_names())
+def test_order_n_lift_of_every_unit_power(name):
+    # sigma(gamma_1) = sigma(gamma_2) = 0 and Phi^n = id on the nose
+    d = cli.parse_scene(cli.bundled_scene(name)).data
+    gamma1, gamma2 = pi1.generators(d)[:2]
+    for omega in lattice_frame(d).unit_powers:
+        l = order_n_lift(d, omega)
+        assert l.sigma10 == d.ring.zero()
+        for g in (gamma1, gamma2):
+            assert conjugate_deck(l, d, g).exponents()[2:] == (0, 0)
+        n = next(k for k in range(1, 7) if power(l, k, d).alpha == d.ring.one())
+        assert power(l, n, d) == identity_lift(d)
 
 
 def test_order_n_rejects_non_units():
