@@ -14,6 +14,7 @@ scene file or bad usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -185,8 +186,8 @@ def bundled_scene(name):
     root = resources.files(__package__) / "scenes"
     entry = root / f"{name}.json"
     if not entry.is_file():
-        have = sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
-        raise SceneError(f"no bundled scene {name!r}; available: {', '.join(have)}")
+        have = ", ".join(bundled_scene_names())
+        raise SceneError(f"no bundled scene {name!r}; available: {have}")
     return json.loads(entry.read_text(encoding="utf-8"))
 
 
@@ -488,7 +489,9 @@ def cmd_selftest(args):
 # argument parsing
 
 
-def _build_parser():
+@functools.cache
+def _parser():
+    """The argument parser, built on first use and shared by every main call."""
     parser = argparse.ArgumentParser(
         prog="kodaira",
         description="Exact computations on primary Kodaira surfaces.",
@@ -538,8 +541,14 @@ def _build_parser():
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one kodaira command and return its exit code.
+
+    argv defaults to sys.argv[1:].  Results go to stdout and errors to stderr
+    as "error: ..."; a usage error raises SystemExit(2) from argparse.  main
+    can be called any number of times in one process: the parser is built on
+    the first call and each call parses into a fresh namespace.
+    """
+    args = _parser().parse_args(argv)
     try:
         if args.handler == "selftest":
             return cmd_selftest(args)

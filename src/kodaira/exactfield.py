@@ -684,6 +684,12 @@ def to_payload(x):
     return out
 
 
+def _pair(item, what, shape):
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise ValueError(f"{what} {item!r} is not a {shape} pair")
+    return item
+
+
 def from_payload(ring, payload):
     """Inverse of to_payload; validates symbol names against the ring.
 
@@ -691,9 +697,13 @@ def from_payload(ring, payload):
     monomial add up.
     """
     total = ring.zero()
-    for mono, q in payload:
+    for term in payload:
+        mono, q = _pair(term, "term", "[monomial, coefficient]")
+        if not isinstance(mono, (list, tuple)):
+            raise ValueError(f"monomial {mono!r} of term {term!r} is not a list")
         exps = {}
-        for name, e in mono:
+        for entry in mono:
+            name, e = _pair(entry, "monomial entry", "[name, exponent]")
             if not isinstance(name, str) or name not in ring._index:
                 raise ValueError(f"unknown symbol {name!r}")
             k = ring._index[name]

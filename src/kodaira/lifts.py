@@ -166,6 +166,8 @@ def _sigma(l, d, x, a, b, ax=None):
 
     ax, when given, holds the coordinates (xa, xb) of alpha x = xa*tau_B + xb.
     """
+    if not (a or b):
+        return d.ring.zero()
     f = lattice_frame(d)
     xa, xb = decompose(l.alpha * x, d.tau_b) if ax is None else ax
     da, dt = skew(l.alpha, d.tau_b)
@@ -173,11 +175,10 @@ def _sigma(l, d, x, a, b, ax=None):
     inner = -(xa * xb)
     if a * b:
         inner += _norm(l.alpha) * a * b
-    return (
-        l.sigma10 * x
-        - l.alpha.conjugate() * (d.c * l.beta + (d.ring.one() - l.alpha) * f.epsilon) * a
-        + f.half_c * (inner - x * (da * dt))
-    )
+    out = l.sigma10 * x + f.half_c * (inner - x * (da * dt))
+    if a:
+        out -= l.alpha.conjugate() * (d.c * l.beta + (d.ring.one() - l.alpha) * f.epsilon) * a
+    return out
 
 
 def sigma_map(l, d, g, ax=None):

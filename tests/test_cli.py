@@ -1,5 +1,6 @@
 """The command-line front end: plumbing, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -245,6 +246,12 @@ def test_malformed_scene_files(tmp_path, capsys):
     ("surface.c", [[[[["i"], 1]], "1/1"]], "unknown symbol ['i']"),
     ("surface.c", [[[["i", 1.5]], "1/1"]], "exponent 1.5 of symbol 'i' is not an integer"),
     ("lifts.half_period.alpha", [[[], "1/2/3"]], "coefficient '1/2/3' is not an integer"),
+    ("surface.c", [[["i"], "1/1"]], "monomial entry 'i' is not a [name, exponent] pair"),
+    ("surface.c", [[[], "1/1", 2]], "term [[], '1/1', 2] is not a [monomial, coefficient] pair"),
+    ("surface.c", [[[["i", 1, 2]], "1/1"]],
+     "monomial entry ['i', 1, 2] is not a [name, exponent] pair"),
+    ("surface.c", [["i", "1/1"]], "monomial 'i' of term ['i', '1/1'] is not a list"),
+    ("surface.c", [3], "term 3 is not a [monomial, coefficient] pair"),
 ])
 def test_payload_errors_name_the_field_and_value(tmp_path, capsys, path, payload, message):
     doc = cli.bundled_scene("translations")
@@ -285,6 +292,111 @@ def test_usage_error_exits_two(capsys):
         cli.main(["power", "--scene", "bundled:order4"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_unknown_bundled_scene_lists_the_available_ones(capsys):
+    code, out, err = run(capsys, "nk", "--scene", "bundled:nope")
+    assert code == 2 and out == ""
+    assert err == (f"error: no bundled scene 'nope'; available: "
+                   f"{', '.join(cli.bundled_scene_names())}\n")
+
+
+# --- repeated calls in one process ----------------------------------------
+
+
+def test_parser_is_built_once_across_calls(capsys, monkeypatch):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    commands = [("scenes",), ("nk", "--scene", "bundled:nk_rank1"),
+                ("pi1", "--scene", "bundled:order4", "abelianization", "--format", "json")]
+    for k in range(102):
+        assert run(capsys, *commands[k % len(commands)])[0] == 0
+        if k == 0:
+            first = len(built)
+    assert first > 1 and len(built) == first
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    probe = (
+        "import argparse\n"
+        "built = []\n"
+        "real_init = argparse.ArgumentParser.__init__\n"
+        "def counting_init(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    real_init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counting_init\n"
+        "import kodaira.cli\n"
+        "print(len(built), kodaira.cli._parser.cache_info().currsize)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 0\n"
+
+
+def test_append_does_not_accumulate_lifts(capsys):
+    argv = ("compose", "--scene", "bundled:fixed_locus", "--lift", "involution",
+            "--lift", "fibre_shift", "--format", "json")
+    first = run(capsys, *argv)
+    assert first[0] == 0 and first[2] == ""
+    assert run(capsys, *argv) == first
+
+
+def test_format_does_not_leak_between_calls(capsys, tmp_path):
+    argv = ("nk", "--scene", "bundled:nk_rank1")
+    table = run(capsys, *argv)
+    as_json = run(capsys, *argv, "--format", "json")
+    assert json.loads(as_json[1])["free_rank"] == 1
+    assert run(capsys, *argv) == table
+    assert table[1].startswith("free_rank: 1\n")
+    doc = cli.bundled_scene("nk_rank1")
+    doc["options"] = {"format": "json"}
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    assert run(capsys, "nk", "--scene", str(scene), "--format", "table") == table
+    assert run(capsys, "nk", "--scene", str(scene)) == as_json
+
+
+def test_usage_error_leaves_the_next_call_intact(capsys):
+    argv = ("power", "--scene", "bundled:translations", "-n", "3", "--format", "json")
+    before = run(capsys, *argv)
+    assert before[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["power", "--scene", "bundled:translations", "--lift", "half_period"])
+    assert exc.value.code == 2
+    assert "--exponent" in capsys.readouterr().err
+    assert run(capsys, *argv) == before
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--help"])
+    assert exc.value.code == 0
+    return capsys.readouterr()
+
+
+def test_help_is_the_same_on_the_first_and_later_calls(capsys):
+    cli._parser.cache_clear()
+    first = [_help(capsys), _help(capsys, "power")]
+    assert first[0].out.startswith("usage: kodaira ")
+    assert first[1].out.startswith("usage: kodaira power ")
+    run(capsys, "power", "--scene", "bundled:translations", "-n", "2")
+    run(capsys, "scenes")
+    with pytest.raises(SystemExit):
+        cli.main(["power"])
+    capsys.readouterr()
+    assert [_help(capsys), _help(capsys, "power")] == first
 
 
 def test_selftest_command_reports_all_checks(capsys):

@@ -98,16 +98,21 @@ def test_lattice_violation_blocks_descent():
     assert descent_check(l, D2) == MapClass.NOT_DESCENDING
 
 
-def _oracle_class(l, d):
-    """descent_check from maps of C^2 alone: Phi descends when, for g =
-    gamma_1 and gamma_2, Phi deck(g) = deck(g') Phi for some g' in pi1.
-    x' is read off the base parts, and y' off the constant terms."""
+def _oracle_phi(l, d):
+    """The map of C^2 a lift stands for, from d_form alone."""
     one, half = d.ring.one(), Fraction(1, 2)
     da, dt = d_form(d.tau_b, l.alpha, one), d_form(d.tau_b, l.alpha, d.tau_b.value)
     epsilon = d.delta - d.c * d.tau_b.value * half
     u = l.sigma10 + (d.c * l.beta + epsilon - d.c * (dt * half)) * da
     norm = (l.alpha * l.alpha.conjugate()).rational()
-    phi = CoverMap(l.alpha, l.beta, norm, d.c * l.alpha * (da * half), u, l.v)
+    return CoverMap(l.alpha, l.beta, norm, d.c * l.alpha * (da * half), u, l.v)
+
+
+def _oracle_class(l, d):
+    """descent_check from maps of C^2 alone: Phi descends when, for g =
+    gamma_1 and gamma_2, Phi deck(g) = deck(g') Phi for some g' in pi1.
+    x' is read off the base parts, and y' off the constant terms."""
+    phi = _oracle_phi(l, d)
     for g in pi1.generators(d)[:2]:
         lhs = phi.compose(to_affine(g, d))
         if not in_lattice(lhs.b - phi.b, d.tau_b):
@@ -117,7 +122,7 @@ def _oracle_class(l, d):
         if (lhs.a, lhs.b, lhs.e, lhs.q2, lhs.q1) != (rhs.a, rhs.b, rhs.e, rhs.q2, rhs.q1) \
                 or not in_lattice(lhs.q0 - rhs.q0, d.tau_e):
             return MapClass.NOT_DESCENDING
-    return MapClass.AUTOMORPHISM if norm == 1 else MapClass.ENDOMORPHISM
+    return MapClass.AUTOMORPHISM if phi.e == 1 else MapClass.ENDOMORPHISM
 
 
 def test_descent_check_matches_the_cover_map_oracle(rng):
@@ -263,17 +268,27 @@ def test_deck_lift_round_trips(rng):
 
 
 def test_conjugate_deck_matches_brute_force(rng):
-    gens = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
-    for d in (D2, DHEX):
-        for _ in range(8):
+    # against substituting into the map images, and against Phi deck(g) Phi^-1
+    # as cover maps; gamma_3, gamma_4 and the other central elements have
+    # sigma = 0 before the |alpha|^2 y term, and a = 0 skips the alpha-bar term
+    for d in (D2, DHEX, DT):
+        for _ in range(6):
             l = rand_auto_lift(d, rng)
             inv_imgs = _images(invert(l, d), d)
-            for e in gens:
+            phi = _oracle_phi(l, d)
+            elements = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                        (0, 0, rng.randint(-3, 3), rng.randint(-3, 3)),
+                        (0, rng.choice((-2, -1, 1, 2)), rng.randint(-3, 3), rng.randint(-3, 3)),
+                        tuple(rng.randint(-2, 2) for _ in range(4))]
+            for e in elements:
                 g = pi1.from_exponents(*e, d)
+                out = conjugate_deck(l, d, g)
                 brute = [substitute(p, [substitute(q, inv_imgs)
                                         for q in _images(deck_lift(g, d), d)])
                          for p in _images(l, d)]
-                assert _images(deck_lift(conjugate_deck(l, d, g), d), d) == brute
+                assert _images(deck_lift(out, d), d) == brute
+                want = phi.compose(to_affine(g, d)).compose(phi.inverse())
+                assert to_affine(out, d) == want, e
 
 
 def test_sigma_cocycle(rng):
