@@ -106,7 +106,7 @@ class SymbolDecl:
             )
         if self.d is None:
             return
-        if not isinstance(self.d, int):
+        if isinstance(self.d, bool) or not isinstance(self.d, int):
             raise ValueError(f"quadratic symbol {self.name!r} needs an integer d, got {self.d!r}")
         if self.d > MAX_QUADRATIC_D:
             raise ValueError(

@@ -1,0 +1,178 @@
+"""Scene files: the JSON format through which surfaces and lifts enter.
+
+A scene declares the number ring, the surface data (tau_B, tau_E, c,
+delta), and a set of named lifts (alpha, beta, sigma10, v).  Every number
+travels as an exact payload (monomials with rational coefficients,
+rationals as "p/q" strings), so a scene round-trips through
+``scene_document`` unchanged.  Thirteen scenes ship with the package and
+are addressed as ``bundled:<name>``.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from importlib import resources
+
+from .exactfield import NumberRing, SymbolDecl, Tau, from_payload, to_payload
+from .lifts import SpecialLift
+from .surface import KodairaData
+
+SURFACE_FIELDS = ("tau_b", "tau_e", "c", "delta")
+LIFT_FIELDS = ("alpha", "beta", "sigma10", "v")
+
+
+class SceneError(Exception):
+    """The scene file does not match the expected schema."""
+
+
+@dataclass
+class Scene:
+    ring: NumberRing
+    data: KodairaData
+    lifts: dict
+    options: dict
+
+
+def surface_fields(data):
+    """{field: value} of the surface tuple, in file order."""
+    return dict(zip(SURFACE_FIELDS, (data.tau_b.value, data.tau_e.value, data.c, data.delta)))
+
+
+def lift_fields(l):
+    """{field: value} of a lift, in file order."""
+    return {f: getattr(l, f) for f in LIFT_FIELDS}
+
+
+def require(cond, msg):
+    """Raise SceneError(msg) unless cond holds."""
+    if not cond:
+        raise SceneError(msg)
+
+
+def _parse_value(ring, payload, where):
+    require(isinstance(payload, list), f"{where}: expected a payload list")
+    try:
+        return from_payload(ring, payload)
+    except Exception as exc:
+        raise SceneError(f"{where}: {exc}") from None
+
+
+def parse_scene(doc, name="scene"):
+    """Build a Scene from a decoded JSON document."""
+    require(isinstance(doc, dict), f"{name}: top level must be an object")
+    extra = set(doc) - {"ring", "surface", "lifts", "options"}
+    require(not extra, f"{name}: unknown keys {sorted(extra)}")
+    require("surface" in doc, f"{name}: missing 'surface'")
+
+    decls = []
+    require(isinstance(doc.get("ring", []), list), "ring: expected a list of symbols")
+    for k, entry in enumerate(doc.get("ring", [])):
+        require(isinstance(entry, dict) and "name" in entry,
+               f"ring[{k}]: expected an object with a 'name'")
+        bad = set(entry) - {"name", "d", "approx"}
+        require(not bad, f"ring[{k}]: unknown keys {sorted(bad)}")
+        try:
+            decls.append(SymbolDecl(entry["name"], d=entry.get("d"),
+                                    approx=entry.get("approx")))
+        except ValueError as exc:
+            raise SceneError(f"ring[{k}]: {exc}") from None
+    try:
+        ring = NumberRing(decls)
+    except ValueError as exc:
+        raise SceneError(f"ring: {exc}") from None
+
+    surf = doc["surface"]
+    require(isinstance(surf, dict), "surface: expected an object")
+    missing = set(SURFACE_FIELDS) - set(surf)
+    require(not missing, f"surface: missing {sorted(missing)}")
+    bad = set(surf) - set(SURFACE_FIELDS)
+    require(not bad, f"surface: unknown keys {sorted(bad)}")
+    fields = {}
+    try:
+        for f in SURFACE_FIELDS:
+            value = _parse_value(ring, surf[f], f"surface.{f}")
+            fields[f] = Tau(value) if f.startswith("tau_") else value
+        data = KodairaData(**fields)
+    except ValueError as exc:
+        raise SceneError(f"surface: {exc}") from None
+
+    lifts = {}
+    entries = doc.get("lifts", {})
+    require(isinstance(entries, dict), "lifts: expected an object")
+    for lname, entry in entries.items():
+        require(isinstance(entry, dict), f"lifts.{lname}: expected an object")
+        missing = set(LIFT_FIELDS) - set(entry)
+        require(not missing, f"lifts.{lname}: missing {sorted(missing)}")
+        bad = set(entry) - set(LIFT_FIELDS)
+        require(not bad, f"lifts.{lname}: unknown keys {sorted(bad)}")
+        lifts[lname] = SpecialLift(**{f: _parse_value(ring, entry[f], f"lifts.{lname}.{f}")
+                                      for f in LIFT_FIELDS})
+
+    options = doc.get("options", {})
+    require(isinstance(options, dict), "options: expected an object")
+    bad = set(options) - {"format", "precision"}
+    require(not bad, f"options: unknown keys {sorted(bad)}")
+    if "format" in options:
+        require(options["format"] in ("json", "table"),
+               "options.format: expected 'json' or 'table'")
+    if "precision" in options:
+        p = options["precision"]
+        require(isinstance(p, int) and not isinstance(p, bool) and p > 0,
+               "options.precision: expected a positive integer")
+
+    return Scene(ring, data, lifts, options)
+
+
+def load_scene(path):
+    """The Scene at a file path, or at bundled:<name> for a shipped scene."""
+    if path.startswith("bundled:"):
+        return parse_scene(bundled_scene(path[len("bundled:"):]), path)
+    # besides bad JSON, the decoder raises ValueError on bytes that are not
+    # UTF-8 and on integers past the digit limit, RecursionError on deep nesting
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SceneError(f"cannot read {path}: {exc}") from None
+    except (ValueError, RecursionError) as exc:
+        raise SceneError(f"{path} is not valid JSON: {exc}") from None
+    return parse_scene(doc, path)
+
+
+def bundled_scene(name):
+    """Decoded JSON document of a scene shipped with the package."""
+    entry = resources.files(__package__) / "scenes" / f"{name}.json"
+    if not entry.is_file():
+        have = ", ".join(bundled_scene_names())
+        raise SceneError(f"no bundled scene {name!r}; available: {have}")
+    return json.loads(entry.read_text(encoding="utf-8"))
+
+
+def bundled_scene_names():
+    root = resources.files(__package__) / "scenes"
+    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+
+
+def _symbol_doc(s):
+    out = {"name": s.name}
+    if s.d is not None:
+        out["d"] = s.d
+    if s.approx is not None:
+        out["approx"] = s.approx
+    return out
+
+
+def scene_document(scene):
+    """Canonical JSON document for a scene; load/parse round-trips it."""
+    doc = {
+        "ring": [_symbol_doc(s) for s in scene.ring.symbols],
+        "surface": {f: to_payload(v) for f, v in surface_fields(scene.data).items()},
+        "lifts": {
+            name: {f: to_payload(v) for f, v in lift_fields(l).items()}
+            for name, l in scene.lifts.items()
+        },
+    }
+    if scene.options:
+        doc["options"] = dict(sorted(scene.options.items()))
+    return doc

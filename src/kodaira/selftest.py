@@ -12,7 +12,6 @@ import random
 from fractions import Fraction
 
 from . import pi1
-from .cli import bundled_scene, parse_scene
 from .exactfield import (
     DomainError,
     NumberRing,
@@ -57,6 +56,7 @@ from .lifts import (
     unit_group_order,
     z_coefficient,
 )
+from .scene import load_scene
 from .surface import (
     KodairaData,
     Sl2Matrix,
@@ -71,12 +71,8 @@ from .surface import (
 SEED = 20260822
 
 
-def _data(name):
-    return parse_scene(bundled_scene(name), name).data
-
-
 def _scene(name):
-    return parse_scene(bundled_scene(name), name)
+    return load_scene(f"bundled:{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +220,7 @@ def check_conjugation():
     names = ["translations", "order4", "order6", "infinite_translations"]
     lifts_checked = 0
     for name in names:
-        d = _data(name)
+        d = _scene(name).data
         gens = [pi1.from_exponents(*e, d) for e in
                 ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
         for _ in range(28):
@@ -273,7 +269,7 @@ def check_descending_examples():
         return False, "transcendental fibre modulus should give infinitely many translations"
     if descent_check(sc.lifts["half_period"], sc.data) != MapClass.AUTOMORPHISM:
         return False, "transcendental half-period does not descend"
-    if count_base_translations_infinite(_data("nk_rank0")):
+    if count_base_translations_infinite(_scene("nk_rank0").data):
         return False, "rank-0 scene misreported as infinite"
     return True, "translation, gauge, and transcendental examples"
 
@@ -316,7 +312,7 @@ def check_finite_order():
     rng = random.Random(SEED + 5)
     expected = {"order4": 4, "order6": 6, "order2": 2}
     for name, n in expected.items():
-        d = _data(name)
+        d = _scene(name).data
         if unit_group_order(d.tau_b) != n:
             return False, f"{name}: unit group order is not {n}"
         l = order_n_lift(d, canonical_unit(d.tau_b))
@@ -344,7 +340,7 @@ def check_semidirect():
     rng = random.Random(SEED + 6)
     count = 0
     for name in ("order4", "order6", "order2"):
-        d = _data(name)
+        d = _scene(name).data
         base = order_n_lift(d, canonical_unit(d.tau_b))
         n = unit_group_order(d.tau_b)
         for _ in range(35):
@@ -367,7 +363,7 @@ def check_semidirect():
 def check_nk():
     want = {"nk_rank0": (0, ()), "nk_rank2": (2, (3, 3)), "nk_rank1": (1, (3, 3))}
     for name, (free, torsion) in want.items():
-        inv = nk_invariants(_data(name))
+        inv = nk_invariants(_scene(name).data)
         if (inv.free_rank, inv.torsion) != (free, torsion):
             return False, f"{name}: got ({inv.free_rank}, {inv.torsion})"
     return True, "free ranks 0, 2, 1 with torsion (m, m) where present"
@@ -397,7 +393,7 @@ def check_dolbeault():
     rng = random.Random(SEED + 8)
     batch = []
     for name in ("order4", "order6", "order2"):
-        d = _data(name)
+        d = _scene(name).data
         batch.append((d, order_n_lift(d, canonical_unit(d.tau_b))))
         batch.append((d, _rand_auto_lift(d, rng)))
     sc = _scene("translations")
@@ -437,7 +433,7 @@ def check_rho_constant():
     from .forms import holomorphic_generators, pullback
     count = 0
     for name in ("translations", "order4", "order6", "infinite_translations"):
-        d = _data(name)
+        d = _scene(name).data
         ring = d.ring
         gens = holomorphic_generators(d)
         phi1, phi2 = gens["phi1"], gens["phi2"]
@@ -464,8 +460,8 @@ def check_trivial_action():
     R = NumberRing()
     i = R.i()
     half = Fraction(1, 2)
-    d2 = _data("translations")          # c = 2
-    d1 = _data("order4")                # c = 1
+    d2 = _scene("translations").data          # c = 2
+    d1 = _scene("order4").data                # c = 1
     d3 = KodairaData(Tau(i), Tau(i), R.value(3), R.value(0))
     crafted = [
         (d2, SpecialLift(R.one(), i * half, R.one(), R.value(0))),
@@ -537,7 +533,7 @@ def check_fixed_loci():
     # base point counts against an independently computed lattice index
     counted = 0
     for name in ("order4", "order6", "order2"):
-        dd = _data(name)
+        dd = _scene(name).data
         n = unit_group_order(dd.tau_b)
         base = order_n_lift(dd, canonical_unit(dd.tau_b))
         for e in range(1, n):
@@ -562,12 +558,12 @@ def check_fixed_loci():
 def check_moduli():
     R = NumberRing()
     i = R.i()
-    d_tr = _data("translations")
+    d_tr = _scene("translations").data
     pool = [
         d_tr,
-        _data("iso_translate"),
-        _data("iso_half_shift"),
-        _data("normalize_demo"),
+        _scene("iso_translate").data,
+        _scene("iso_half_shift").data,
+        _scene("normalize_demo").data,
     ]
     d0, _ = normalize_delta(pool[3])
     d1, _ = normalize_c(d0)
@@ -589,15 +585,15 @@ def check_moduli():
         e1, _ = normalize_c(e0)
         if not is_isomorphic(d, e1):
             return False, "a surface is not isomorphic to its normal form"
-    if not is_isomorphic(d_tr, _data("iso_translate")):
+    if not is_isomorphic(d_tr, _scene("iso_translate").data):
         return False, "integer shift of the fibre modulus broke the isomorphism"
-    if is_isomorphic(d_tr, _data("iso_half_shift")):
+    if is_isomorphic(d_tr, _scene("iso_half_shift").data):
         return False, "half shift of the fibre modulus should change the surface"
-    d6 = _data("order6")
+    d6 = _scene("order6").data
     for M in (Sl2Matrix(1, 1, 0, 1), Sl2Matrix(0, -1, 1, 0)):
         if not is_isomorphic(d6, change_base_marking(d6, M)):
             return False, f"base remarking by {M} broke the isomorphism"
-    j4 = moduli_point(_data("order4"))[0]
+    j4 = moduli_point(_scene("order4").data)[0]
     if abs(j4 - 1728) > 1e-9 * 1728:
         return False, f"j at the square lattice came out as {j4}"
     j6 = moduli_point(d6)[0]
@@ -613,7 +609,7 @@ def check_moduli():
 def check_invariant_forms():
     total = 0
     for name in ("translations", "order6", "infinite_translations"):
-        results = verify_invariant_generators(_data(name))
+        results = verify_invariant_generators(_scene(name).data)
         bad = [r.name for r in results if not r.ok]
         if bad:
             return False, f"{name}: failed {bad[:3]}"

@@ -10,9 +10,16 @@ from fractions import Fraction
 
 import pytest
 
-from kodaira import cli
+from kodaira import cli, selftest
 from importlib import resources
 from kodaira.exactfield import NumberRing, to_payload
+from kodaira.scene import (
+    SceneError,
+    bundled_scene,
+    bundled_scene_names,
+    parse_scene,
+    scene_document,
+)
 
 R = NumberRing()
 I = R.i()
@@ -34,7 +41,7 @@ def test_scenes_listing(capsys):
 
 
 def test_scene_echo_matches_bundled_file(capsys):
-    for name in cli.bundled_scene_names():
+    for name in bundled_scene_names():
         code, out, err = run(capsys, "scene", "--scene", f"bundled:{name}")
         assert code == 0, name
         raw = (resources.files("kodaira") / "scenes" / f"{name}.json").read_text()
@@ -42,10 +49,10 @@ def test_scene_echo_matches_bundled_file(capsys):
 
 
 def test_round_trip_through_parser():
-    for name in cli.bundled_scene_names():
-        doc = cli.bundled_scene(name)
-        scene = cli.parse_scene(doc)
-        assert cli.scene_document(scene) == doc
+    for name in bundled_scene_names():
+        doc = bundled_scene(name)
+        scene = parse_scene(doc)
+        assert scene_document(scene) == doc
 
 
 def test_output_is_deterministic(capsys):
@@ -161,7 +168,7 @@ def test_moduli_precision_out_of_range(tmp_path, capsys):
         code, out, err = run(capsys, "moduli", "--scene", "bundled:order2", "--precision", bad)
         assert code == 2 and out == ""
         assert "--precision" in err and bad in err
-    doc = cli.bundled_scene("order2")
+    doc = bundled_scene("order2")
     doc["options"] = {"precision": 40}
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
@@ -171,6 +178,11 @@ def test_moduli_precision_out_of_range(tmp_path, capsys):
     code, out, _ = run(capsys, "moduli", "--scene", str(scene), "--precision", "15",
                        "--format", "json")
     assert code == 0 and json.loads(out)["precision"] == 15
+    doc["options"] = {"precision": True}
+    scene.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "moduli", "--scene", str(scene))
+    assert (code, out) == (2, "")
+    assert err == "error: options.precision: expected a positive integer\n"
 
 def test_iso_verdicts(capsys):
     code, out, _ = run(capsys, "iso", "--scene", "bundled:translations",
@@ -201,10 +213,11 @@ def test_verify_forms_table(capsys):
 
 
 def test_missing_lift_is_a_scene_error(capsys):
-    code, _, err = run(capsys, "fixed-locus", "--scene", "bundled:fixed_locus",
-                       "--lift", "nope")
-    assert code == 2
-    assert "nope" in err
+    for argv in (("fixed-locus", "--lift", "nope"),
+                 ("compose", "--lift", "involution", "--lift", "nope")):
+        code, _, err = run(capsys, *argv, "--scene", "bundled:fixed_locus")
+        assert code == 2
+        assert "nope" in err and "scene has: " in err
 
 
 def test_ambiguous_lift_default_is_a_scene_error(capsys):
@@ -225,18 +238,92 @@ def test_malformed_scene_files(tmp_path, capsys):
     assert code == 2 and "error:" in err
 
     extra = tmp_path / "extra.json"
-    doc = cli.bundled_scene("translations")
+    doc = bundled_scene("translations")
     doc["unknown"] = 1
     extra.write_text(json.dumps(doc))
     code, _, err = run(capsys, "scene", "--scene", str(extra))
     assert code == 2 and "unknown" in err
 
     missing = tmp_path / "missing.json"
-    doc = cli.bundled_scene("translations")
+    doc = bundled_scene("translations")
     del doc["surface"]["c"]
     missing.write_text(json.dumps(doc))
     code, _, err = run(capsys, "scene", "--scene", str(missing))
     assert code == 2
+
+
+def _drop(*keys):
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+    return edit
+
+
+def _put(*keys, value):
+    def edit(doc):
+        node = doc
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: [doc], "{path}: top level must be an object"),
+    (_put("colour", value=1), "{path}: unknown keys ['colour']"),
+    (_drop("surface"), "{path}: missing 'surface'"),
+    (_put("ring", value={"name": "i"}), "ring: expected a list of symbols"),
+    (_put("ring", value=[{"d": 1}]), "ring[0]: expected an object with a 'name'"),
+    (_put("ring", value=["i"]), "ring[0]: expected an object with a 'name'"),
+    (_put("ring", value=[{"name": "i", "x": 1}]), "ring[0]: unknown keys ['x']"),
+    (_put("surface", value=[]), "surface: expected an object"),
+    (_drop("surface", "c"), "surface: missing ['c']"),
+    (_put("surface", "z", value=[]), "surface: unknown keys ['z']"),
+    (_put("lifts", value=[]), "lifts: expected an object"),
+    (_put("lifts", "half_period", value=[]), "lifts.half_period: expected an object"),
+    (_drop("lifts", "half_period", "v"), "lifts.half_period: missing ['v']"),
+    (_put("lifts", "half_period", "w", value=[]), "lifts.half_period: unknown keys ['w']"),
+    (_put("options", value=[]), "options: expected an object"),
+    (_put("options", value={"colour": "red"}), "options: unknown keys ['colour']"),
+    (_put("options", value={"format": "yaml"}), "options.format: expected 'json' or 'table'"),
+    (_put("options", value={"precision": 0}), "options.precision: expected a positive integer"),
+    (_put("options", value={"precision": "3"}), "options.precision: expected a positive integer"),
+])
+def test_structural_scene_errors(tmp_path, capsys, edit, message):
+    doc = bundled_scene("translations")
+    doc = edit(doc) or doc
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check-lift", "--scene", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message.format(path=path)}\n"
+
+
+def test_unreadable_scene_file(tmp_path, capsys):
+    absent = tmp_path / "absent.json"
+    code, out, err = run(capsys, "nk", "--scene", str(absent))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read {absent}: [Errno 2] No such file or directory: "
+                   f"'{absent}'\n")
+
+
+@pytest.mark.parametrize("raw,reason", [
+    (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2 "
+                   "(char 1)"),
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (b"[" * 200000 + b"]" * 200000, "maximum recursion depth exceeded while decoding a "
+                                    "JSON array from a unicode string"),
+    (b'{"ring": ' + b"7" * 5000 + b"}", "Exceeds the limit (4300 digits) for integer "
+                                       "string conversion"),
+])
+def test_undecodable_scene_files_are_scene_errors(tmp_path, capsys, raw, reason):
+    path = tmp_path / "scene.json"
+    path.write_bytes(raw)
+    code, out, err = run(capsys, "nk", "--scene", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path} is not valid JSON: {reason}")
 
 
 @pytest.mark.parametrize("path,payload,message", [
@@ -254,7 +341,7 @@ def test_malformed_scene_files(tmp_path, capsys):
     ("surface.c", [3], "term 3 is not a [monomial, coefficient] pair"),
 ])
 def test_payload_errors_name_the_field_and_value(tmp_path, capsys, path, payload, message):
-    doc = cli.bundled_scene("translations")
+    doc = bundled_scene("translations")
     *parents, last = path.split(".")
     node = doc
     for key in parents:
@@ -268,7 +355,7 @@ def test_payload_errors_name_the_field_and_value(tmp_path, capsys, path, payload
 
 
 def test_domain_errors_exit_one(tmp_path, capsys):
-    doc = cli.bundled_scene("translations")
+    doc = bundled_scene("translations")
     doc["lifts"]["bad"] = {
         "alpha": to_payload(R.one()),
         "beta": to_payload(R.value(Fraction(1, 7))),
@@ -298,7 +385,7 @@ def test_unknown_bundled_scene_lists_the_available_ones(capsys):
     code, out, err = run(capsys, "nk", "--scene", "bundled:nope")
     assert code == 2 and out == ""
     assert err == (f"error: no bundled scene 'nope'; available: "
-                   f"{', '.join(cli.bundled_scene_names())}\n")
+                   f"{', '.join(bundled_scene_names())}\n")
 
 
 # --- repeated calls in one process ----------------------------------------
@@ -360,7 +447,7 @@ def test_format_does_not_leak_between_calls(capsys, tmp_path):
     assert json.loads(as_json[1])["free_rank"] == 1
     assert run(capsys, *argv) == table
     assert table[1].startswith("free_rank: 1\n")
-    doc = cli.bundled_scene("nk_rank1")
+    doc = bundled_scene("nk_rank1")
     doc["options"] = {"format": "json"}
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
@@ -407,10 +494,18 @@ def test_selftest_command_reports_all_checks(capsys):
     assert all(" PASS " in l for l in lines)
 
 
+def test_a_failed_acceptance_check_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "run_all",
+                        lambda verbose: [(1, "law", True), (2, "torsion", False)])
+    code, out, err = run(capsys, "selftest")
+    assert (code, out) == (1, "")
+    assert err == "error: 1 acceptance checks failed: torsion\n"
+
+
 def test_repeated_monomials_add_up(capsys, tmp_path):
-    doc = cli.bundled_scene("translations")
+    doc = bundled_scene("translations")
     doc["surface"]["c"] = [[[], "1/1"], [[], "1/1"]]
-    assert cli.parse_scene(doc).data.c == R.value(2)
+    assert parse_scene(doc).data.c == R.value(2)
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "normalize", "--scene", str(scene), "--format", "json")
@@ -419,7 +514,7 @@ def test_repeated_monomials_add_up(capsys, tmp_path):
 
 
 def test_huge_quadratic_d_is_a_scene_error(capsys, tmp_path):
-    doc = cli.bundled_scene("translations")
+    doc = bundled_scene("translations")
     doc["ring"].append({"name": "big", "d": 10**40 + 1})
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
@@ -430,13 +525,21 @@ def test_huge_quadratic_d_is_a_scene_error(capsys, tmp_path):
     scene.write_text(json.dumps(doc))
     code, _, err = run(capsys, "normalize", "--scene", str(scene))
     assert code == 2 and "'big'" in err
+    # JSON true is not the integer 1
+    for ring in (doc["ring"][:-1] + [{"name": "big", "d": True}], [{"name": "i", "d": True}]):
+        doc["ring"] = ring
+        scene.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "scene", "--scene", str(scene))
+        assert (code, out) == (2, "")
+        assert err == f"error: ring[{len(ring) - 1}]: quadratic symbol {ring[-1]['name']!r} " \
+                      f"needs an integer d, got True\n"
 
 
 def test_bad_symbol_approx_is_a_scene_error(capsys, tmp_path):
-    doc = cli.bundled_scene("infinite_translations")
+    doc = bundled_scene("infinite_translations")
     doc["ring"][1]["approx"] = "x"
-    with pytest.raises(cli.SceneError, match=r"ring\[1\].*'t'.*'x'"):
-        cli.parse_scene(doc)
+    with pytest.raises(SceneError, match=r"ring\[1\].*'t'.*'x'"):
+        parse_scene(doc)
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
     code, out, err = run(capsys, "moduli", "--scene", str(scene))
@@ -458,7 +561,7 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     done = subprocess.run([sys.executable, "-m", "kodaira", "scenes"], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0
-    assert done.stdout.splitlines() == cli.bundled_scene_names()
+    assert done.stdout.splitlines() == bundled_scene_names()
     done = subprocess.run([sys.executable, "-m", "kodaira", "scene", "--scene",
                            str(tmp_path / "absent.json")], env=env,
                           capture_output=True, text=True, timeout=60)

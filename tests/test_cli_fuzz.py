@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from kodaira import cli
 from kodaira.exactfield import DomainError
+from kodaira.scene import LIFT_FIELDS, SceneError, bundled_scene, bundled_scene_names, parse_scene
 
 SYMBOLS = ("i", "r2", "r3", "t", "x")
 SURFACE_FIELDS = ("tau_b", "tau_e", "c", "delta")
@@ -51,7 +52,7 @@ random_scene = st.fixed_dictionaries(
         "ring": st.one_of(st.lists(symbol, max_size=3), junk),
         "lifts": st.one_of(st.dictionaries(
             st.sampled_from(("f", "g")),
-            st.fixed_dictionaries({}, optional={f: any_payload for f in cli.LIFT_FIELDS}),
+            st.fixed_dictionaries({}, optional={f: any_payload for f in LIFT_FIELDS}),
             max_size=2), junk),
         "options": st.one_of(st.fixed_dictionaries({}, optional={
             "format": st.sampled_from(["json", "table", "x"]),
@@ -64,7 +65,7 @@ random_scene = st.fixed_dictionaries(
 def bundled_variant(draw):
     """A bundled scene with one surface field replaced, lift fields replaced
     (v alone keeps a lift descending), or a random lift added."""
-    doc = cli.bundled_scene(draw(st.sampled_from(cli.bundled_scene_names())))
+    doc = bundled_scene(draw(st.sampled_from(bundled_scene_names())))
     names = [s["name"] for s in doc.get("ring", [])] or ["i"]
     value = payloads(names)
     how = draw(st.sampled_from(("surface", "lift field", "lift field", "new lift", "none")))
@@ -73,10 +74,10 @@ def bundled_variant(draw):
         doc["surface"][draw(st.sampled_from(SURFACE_FIELDS))] = draw(value)
     elif how == "lift field" and lifts:
         entry = lifts[draw(st.sampled_from(sorted(lifts)))]
-        for f in draw(st.lists(st.sampled_from(cli.LIFT_FIELDS), min_size=1, max_size=2)):
+        for f in draw(st.lists(st.sampled_from(LIFT_FIELDS), min_size=1, max_size=2)):
             entry[f] = draw(value)
     elif how == "new lift":
-        lifts["f"] = {f: draw(value) for f in cli.LIFT_FIELDS}
+        lifts["f"] = {f: draw(value) for f in LIFT_FIELDS}
     return doc
 
 
@@ -99,7 +100,7 @@ def invocations(draw):
         args += ["--precision", str(draw(st.integers(-2, 20)))]
     if command == "iso":
         args += ["--other", draw(st.sampled_from(
-            ["SELF"] + [f"bundled:{n}" for n in cli.bundled_scene_names()]))]
+            ["SELF"] + [f"bundled:{n}" for n in bundled_scene_names()]))]
     if draw(st.booleans()):
         args += ["--format", draw(st.sampled_from(["json", "table"]))]
     if command == "pi1":
@@ -138,6 +139,6 @@ def test_cli_never_crashes(case):
 @given(st.one_of(bundled_variant(), random_scene))
 def test_parse_scene_raises_only_scene_and_domain_errors(doc):
     try:
-        cli.parse_scene(doc)
-    except (cli.SceneError, DomainError):
+        parse_scene(doc)
+    except (SceneError, DomainError):
         pass

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kodaira import cli
 from kodaira.exactfield import (
     MAX_QUADRATIC_D,
     NotInSpan,
@@ -28,6 +27,7 @@ from kodaira.exactfield import (
     smith_normal_form,
     to_payload,
 )
+from kodaira.scene import bundled_scene, parse_scene
 
 R = NumberRing()
 I = R.i()
@@ -305,8 +305,8 @@ def test_values_of_different_rings_do_not_combine(op):
 
 
 def test_equal_rings_from_a_scene_parsed_twice_combine():
-    doc = cli.bundled_scene("order6")
-    a, b = cli.parse_scene(doc).data, cli.parse_scene(doc).data
+    doc = bundled_scene("order6")
+    a, b = parse_scene(doc).data, parse_scene(doc).data
     assert a.ring is not b.ring and a.ring == b.ring
     x, y = a.tau_b.value, b.tau_b.value
     assert x + y == y + x == x * 2

@@ -7,7 +7,7 @@ from functools import reduce
 
 import pytest
 
-from kodaira import cli, forms
+from kodaira import forms
 from kodaira.exactfield import DomainError, NumberRing, SymbolDecl, Tau, divide
 from kodaira.forms import (
     BASIS_LABELS,
@@ -48,6 +48,7 @@ from kodaira.lifts import (
     order_n_lift,
     z_coefficient,
 )
+from kodaira.scene import bundled_scene, parse_scene
 from kodaira.surface import KodairaData
 
 from conftest import rand_auto_lift, rand_pi1
@@ -400,8 +401,8 @@ def test_surface_tables_are_kept_apart():
 
 
 def test_a_scene_parsed_twice_gives_equal_answers():
-    doc = cli.bundled_scene("order6")
-    first, second = cli.parse_scene(doc), cli.parse_scene(doc)
+    doc = bundled_scene("order6")
+    first, second = parse_scene(doc), parse_scene(doc)
     assert first.data == second.data and first.data.ring is not second.data.ring
     for name in first.lifts:
         answers = [(rho(s.lifts[name], s.data), dolbeault_action(s.lifts[name], s.data).blocks)

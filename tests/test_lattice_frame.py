@@ -143,6 +143,32 @@ def test_no_assert_statements_in_the_package():
     assert not found, f"assert statements in src/kodaira: {found}"
 
 
+def _imports_cli(node):
+    if isinstance(node, ast.Import):
+        return any(a.name == "kodaira.cli" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        return module in (".cli", "kodaira.cli") or (
+            module in (".", "kodaira") and any(a.name == "cli" for a in node.names))
+    return False
+
+
+def test_only_the_entry_point_imports_the_cli():
+    # the CLI sits on top of the package; the library and the acceptance
+    # checks load scenes through kodaira.scene
+    root = pathlib.Path(kodaira.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(root.rglob("*.py")) if path.name != "__main__.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if _imports_cli(node)
+    ]
+    assert [_imports_cli(ast.parse(src).body[0]) for src in (
+        "from .cli import main", "from . import cli", "import kodaira.cli",
+        "from kodaira.cli import main", "from .scene import load_scene")] == [1, 1, 1, 1, 0]
+    assert not found, f"modules importing the CLI: {found}"
+
+
 def _referenced_names(tree):
     """Every name, attribute, imported name and string constant in the tree;
     strings count because perfbench and monkeypatch reach names by string."""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from kodaira import cli, lifts, pi1
+from kodaira import lifts, pi1
 from kodaira.exactfield import (
     DomainError,
     NotInvertible,
@@ -45,6 +45,7 @@ from kodaira.lifts import (
     z_coefficient,
 )
 from kodaira.pi1 import CoverMap, to_affine
+from kodaira.scene import bundled_scene, bundled_scene_names, parse_scene
 from kodaira.selftest import _closed_power
 from kodaira.surface import KodairaData, lattice_frame
 
@@ -348,10 +349,10 @@ def test_order_n_is_exact(d, n):
         assert not equal_mod_pi1(power(l, k, d), ident, d)
 
 
-@pytest.mark.parametrize("name", cli.bundled_scene_names())
+@pytest.mark.parametrize("name", bundled_scene_names())
 def test_order_n_lift_of_every_unit_power(name):
     # sigma(gamma_1) = sigma(gamma_2) = 0 and Phi^n = id on the nose
-    d = cli.parse_scene(cli.bundled_scene(name)).data
+    d = parse_scene(bundled_scene(name)).data
     gamma1, gamma2 = pi1.generators(d)[:2]
     for omega in lattice_frame(d).unit_powers:
         l = order_n_lift(d, omega)
