@@ -694,9 +694,10 @@ def from_payload(ring, payload):
     """Inverse of to_payload; validates symbol names against the ring.
 
     Monomials are reduced (s^2 = -d for a quadratic s), and terms on the same
-    monomial add up.
+    monomial add up.  Each term is checked in turn; the integer numerators are
+    then summed over the lcm of the term denominators.
     """
-    total = ring.zero()
+    terms = []  # (monomial, numerator, denominator > 0)
     for term in payload:
         mono, q = _pair(term, "term", "[monomial, coefficient]")
         if not isinstance(mono, (list, tuple)):
@@ -719,8 +720,13 @@ def from_payload(ring, payload):
             raise ValueError(f"coefficient {q!r} is not an integer or a fraction p/q") from None
         if not den:
             raise ValueError(f"coefficient {q!r} has a zero denominator")
-        total = total + NumberValue(ring, {m: Fraction(num, den) * factor})
-    return total
+        num, den = num * factor.numerator, den * factor.denominator  # factor: int or Fraction
+        terms.append((m, num, den) if den > 0 else (m, -num, -den))
+    common = lcm(*(den for _, _, den in terms))
+    nums = {}
+    for m, num, den in terms:
+        nums[m] = nums.get(m, 0) + num * (common // den)
+    return _lowest(ring, {m: n for m, n in nums.items() if n}, common)
 
 
 def approx_complex(x, symbol_values):

@@ -9,7 +9,11 @@ The module builds the invariant generators of the de Rham and Dolbeault
 cohomologies, verifies their defining identities, and computes the action of
 automorphism lifts on Dolbeault cohomology together with traces,
 determinants and Lefschetz numbers.  A form is pulled back along a map of the
-cover by substituting map_images of its pi1.CoverMap.
+cover by substituting map_images of its pi1.CoverMap.  Pullback is a ring
+map, so substitute pulls each monomial back as one wedge of the pullback of
+a shorter monomial with an image or an image differential; a dict passed as
+its memo keeps every monomial pulled back along one map, so the identities
+checked along one deck transformation share that work.
 
 The action needs no pullback of forms.  An automorphism lift acts on the
 four generating 1-forms (phi1, phi2, phibar1, phibar2) by one 4x4 matrix:
@@ -21,8 +25,8 @@ exterior power of that matrix, and its coordinates are read off the words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactfield import DomainError, divide
 from .lifts import MapClass, cover_map, descent_check
@@ -58,6 +62,32 @@ def _merge_word(w1, w2):
     return sign, tuple(word)
 
 
+# The 16 sorted words in the differentials 0..3, and _MERGE[w1][w2], the
+# _merge_word of each pair of them, so the hot loops look products up.
+_WORDS = tuple(tuple(k for k in range(4) if m >> k & 1) for m in range(16))
+_MERGE = {w1: {w2: _merge_word(w1, w2) for w2 in _WORDS} for w1 in _WORDS}
+_VAR_EXPS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+_UNIT = (ZERO_EXPS, ())
+_HALF = Fraction(1, 2)
+
+
+def _accumulate(out, key, add):
+    """out[key] += add, dropping the key when the sum is zero."""
+    cur = out.get(key)
+    if cur is None:
+        out[key] = add
+    else:
+        _settle(out, key, cur + add)
+
+
+def _settle(out, key, total):
+    """out[key] = total, or no key when total is zero."""
+    if total:
+        out[key] = total
+    else:
+        del out[key]
+
+
 class PolyForm:
     """A differential form: map (variable exponents, wedge word) -> value."""
 
@@ -70,7 +100,7 @@ class PolyForm:
     def __eq__(self, other):
         return (
             isinstance(other, PolyForm)
-            and self.ring == other.ring
+            and (self.ring is other.ring or self.ring == other.ring)
             and self.terms == other.terms
         )
 
@@ -80,20 +110,24 @@ class PolyForm:
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return PolyForm(self.ring, out)
+            _accumulate(out, k, v)
+        return _form(self.ring, out)
 
     def __neg__(self):
-        return PolyForm(self.ring, {k: -v for k, v in self.terms.items()})
+        return _form(self.ring, {k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            _accumulate(out, k, -v)
+        return _form(self.ring, out)
 
     def __mul__(self, scalar):
         if isinstance(scalar, PolyForm):
             return NotImplemented
-        return PolyForm(self.ring, {k: v * scalar for k, v in self.terms.items()})
+        if not scalar:
+            return form_zero(self.ring)
+        return _form(self.ring, {k: v * scalar for k, v in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -102,6 +136,14 @@ class PolyForm:
 
     def __repr__(self):
         return format_form(self, COMPLEX_NAMES)
+
+
+def _form(ring, terms):
+    """The PolyForm on terms as given, which must hold no zero value."""
+    out = object.__new__(PolyForm)
+    out.ring = ring
+    out.terms = terms
+    return out
 
 
 def format_form(form, names):
@@ -119,54 +161,80 @@ def format_form(form, names):
     return " + ".join(parts)
 
 
+def _written(ring, coeffs, names):
+    """The form with coefficient coeffs[m] on each monomial m, where m is
+    written as format_form writes it: factors joined by "*", variables (with
+    any power) first, then differentials in order, as in "y^2*dx*dy"."""
+    vars_, diffs = names
+    terms = {}
+    for text, v in coeffs.items():
+        exps, word = [0, 0, 0, 0], []
+        for factor in text.split("*"):
+            if factor in diffs:
+                word.append(diffs.index(factor))
+            else:
+                name, _, power = factor.partition("^")
+                exps[vars_.index(name)] += int(power or 1)
+        terms[(tuple(exps), tuple(word))] = ring.value(v)
+    return PolyForm(ring, terms)
+
+
 def form_zero(ring):
-    return PolyForm(ring, {})
+    return _form(ring, {})
 
 
 def constant(ring, value):
-    return PolyForm(ring, {(ZERO_EXPS, ()): ring.value(value)})
+    return PolyForm(ring, {_UNIT: ring.value(value)})
 
 
 def variable(ring, k):
-    exps = tuple(1 if j == k else 0 for j in range(4))
-    return PolyForm(ring, {(exps, ()): ring.one()})
+    return _form(ring, {(_VAR_EXPS[k], ()): ring.one()})
 
 
 def differential(ring, k):
-    return PolyForm(ring, {(ZERO_EXPS, (k,)): ring.one()})
+    return _form(ring, {(ZERO_EXPS, (k,)): ring.one()})
 
 
 def wedge(a, b):
     """Graded product; on 0-forms this is plain polynomial multiplication."""
     out = {}
+    one = a.ring.one()
+    b_terms = b.terms.items()
     for (e1, w1), v1 in a.terms.items():
-        for (e2, w2), v2 in b.terms.items():
-            sign, word = _merge_word(w1, w2)
-            if sign == 0:
+        merge = _MERGE[w1]
+        for (e2, w2), v2 in b_terms:
+            sign, word = merge[w2]
+            if not sign:
                 continue
-            exps = tuple(x + y for x, y in zip(e1, e2))
+            exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            add = v2 if v1 is one else v1 if v2 is one else v1 * v2
+            if sign < 0:
+                add = -add
             key = (exps, word)
-            add = v1 * v2 * sign
+            # _accumulate inlined: this loop and substitute's are the hot ones
             cur = out.get(key)
-            out[key] = add if cur is None else cur + add
-    return PolyForm(a.ring, out)
+            if cur is None:
+                out[key] = add
+            else:
+                _settle(out, key, cur + add)
+    return _form(a.ring, out)
 
 
 def _d_vars(a, var_indices):
     out = {}
     for (exps, word), v in a.terms.items():
         for k in var_indices:
-            if not exps[k]:
+            e = exps[k]
+            if not e:
                 continue
-            sign, new_word = _merge_word((k,), word)
-            if sign == 0:
+            sign, new_word = _MERGE[(k,)][word]
+            if not sign:
                 continue
-            new_exps = tuple(e - 1 if j == k else e for j, e in enumerate(exps))
-            key = (new_exps, new_word)
-            add = v * (exps[k] * sign)
-            cur = out.get(key)
-            out[key] = add if cur is None else cur + add
-    return PolyForm(a.ring, out)
+            new_exps = exps[:k] + (e - 1,) + exps[k + 1:]
+            factor = e * sign
+            add = v if factor == 1 else -v if factor == -1 else v * factor
+            _accumulate(out, (new_exps, new_word), add)
+    return _form(a.ring, out)
 
 
 def exterior_d(a):
@@ -186,45 +254,80 @@ def conjugate_form(a):
     for (exps, word), v in a.terms.items():
         new_exps = (exps[1], exps[0], exps[3], exps[2])
         sign, new_word = _merge_word((), tuple(swap[k] for k in word))
-        key = (new_exps, new_word)
-        add = v.conjugate() * sign
-        cur = out.get(key)
-        out[key] = add if cur is None else cur + add
-    return PolyForm(a.ring, out)
+        v = v.conjugate()
+        _accumulate(out, (new_exps, new_word), v if sign > 0 else -v)
+    return _form(a.ring, out)
 
 
-def substitute(a, images, *, d_images=None):
+def _pulled(key, images, memo):
+    """f* of the monomial form key = (exps, word), where f* x_k = images[k],
+    for a key not in the memo yet; the result is stored there.  Callers look
+    in the memo first."""
+    exps, word = key
+    # f* of one factor fewer, wedged with f* of the last factor: the last
+    # differential, else the last variable
+    if word:
+        k = word[-1]
+        rest, factor = (exps, word[:-1]), (ZERO_EXPS, (k,))
+    elif exps != ZERO_EXPS:
+        k = max(j for j in range(4) if exps[j])
+        rest, factor = (exps[:k] + (exps[k] - 1,) + exps[k + 1:], ()), (_VAR_EXPS[k], ())
+    else:  # the constant 1
+        ring = images[0].ring
+        out = memo[key] = _form(ring, {_UNIT: ring.one()})
+        return out
+    if rest == _UNIT:
+        out = exterior_d(images[k]) if word else images[k]
+    else:
+        out = wedge(memo.get(rest) or _pulled(rest, images, memo),
+                    memo.get(factor) or _pulled(factor, images, memo))
+    memo[key] = out
+    return out
+
+
+def substitute(a, images, *, memo=None):
     """Pull back a along the self-map whose variable images are the given
     0-forms; differentials transform through exterior_d of the images.
 
-    A caller pulling back several forms along one map passes the
-    differentials of the images as d_images, so they are computed once."""
-    ring = a.ring
-    if d_images is None:
-        d_images = [exterior_d(im) for im in images]
-    out = form_zero(ring)
-    for (exps, word), v in a.terms.items():
-        term = constant(ring, v)
-        for k, e in enumerate(exps):
-            for _ in range(e):
-                term = wedge(term, images[k])
-        for k in word:
-            term = wedge(term, d_images[k])
-        out = out + term
-    return out
+    Pullback is a ring map, so each monomial x^e dx_w of a pulls back to
+    the wedge of the images and their differentials; a is the sum of those
+    pullbacks scaled by its coefficients.  memo maps each monomial, the
+    differentials dx_k among them, to its pullback.  A caller pulling back
+    several forms along one map passes one dict for that map, so every
+    monomial is pulled back once per map; a memo holds pullbacks along its
+    own images only, so it must not be passed with other images."""
+    if memo is None:
+        memo = {}
+    out = {}
+    one = a.ring.one()
+    for key, v in a.terms.items():
+        pulled = memo.get(key) or _pulled(key, images, memo)
+        for k, w in pulled.terms.items():
+            add = w if v is one else v if w is one else w * v
+            cur = out.get(k)
+            if cur is None:
+                out[k] = add
+            else:
+                _settle(out, k, cur + add)
+    return _form(a.ring, out)
+
+
+def _polynomial(ring, coeffs):
+    """The 0-form with coefficient coeffs[exps] on each monomial x^exps."""
+    return _form(ring, {(exps, ()): v for exps, v in coeffs.items() if v})
 
 
 def map_images(f, ring):
     """The images of (z, zbar, zeta, zetabar) under the CoverMap f, as
     0-forms to substitute."""
-    z, zb = variable(ring, 0), variable(ring, 1)
-    zeta, zetab = variable(ring, 2), variable(ring, 3)
+    z, zb, zeta, zetab = _VAR_EXPS
+    e = ring.value(f.e)
     return [
-        z * f.a + constant(ring, f.b),
-        zb * f.a.conjugate() + constant(ring, f.b.conjugate()),
-        zeta * f.e + wedge(z, z) * f.q2 + z * f.q1 + constant(ring, f.q0),
-        zetab * f.e + wedge(zb, zb) * f.q2.conjugate() + zb * f.q1.conjugate()
-        + constant(ring, f.q0.conjugate()),
+        _polynomial(ring, {z: f.a, ZERO_EXPS: f.b}),
+        _polynomial(ring, {zb: f.a.conjugate(), ZERO_EXPS: f.b.conjugate()}),
+        _polynomial(ring, {zeta: e, (2, 0, 0, 0): f.q2, z: f.q1, ZERO_EXPS: f.q0}),
+        _polynomial(ring, {zetab: e, (0, 2, 0, 0): f.q2.conjugate(), zb: f.q1.conjugate(),
+                           ZERO_EXPS: f.q0.conjugate()}),
     ]
 
 
@@ -233,13 +336,18 @@ def pullback(a, f):
 
 
 def re_value(w):
-    return (w + w.conjugate()) * Fraction(1, 2)
+    """Re(w) as a ring value: (w + conj(w)) / 2; a rational w is real."""
+    if w.is_rational():
+        return w
+    return (w + w.conjugate()) * _HALF
 
 
 def im_value(w, ring=None):
-    """Im(w) as a ring value: (w - conj(w)) / (2i)."""
+    """Im(w) as a ring value: (w - conj(w)) / (2i); a rational w has none."""
     ring = ring or w.ring
-    return (w - w.conjugate()) * ring.i() * Fraction(-1, 2)
+    if w.is_rational():
+        return ring.zero()
+    return (w.conjugate() - w) * ring.i() * _HALF
 
 
 def holomorphic_generators(d):
@@ -247,9 +355,8 @@ def holomorphic_generators(d):
     plus their conjugates."""
     ring = d.ring
     k = divide(d.c, d.tau_b.value - d.tau_b.conjugate())
-    z, zb = variable(ring, 0), variable(ring, 1)
     phi1 = differential(ring, 0)
-    phi2 = wedge((zb - z) * k, differential(ring, 0)) + differential(ring, 2)
+    phi2 = _written(ring, {"zbar*dz": k, "z*dz": -k, "dzeta": ring.one()}, COMPLEX_NAMES)
     return {
         "phi1": phi1,
         "phi2": phi2,
@@ -288,35 +395,34 @@ def real_generators(d):
     ring = d.ring
     imt = im_value(d.tau_b.value, ring)
     rc, ic = re_value(d.c), im_value(d.c, ring)
-    y = variable(ring, 1)
-    dx, dy = differential(ring, 0), differential(ring, 1)
-    du, dv = differential(ring, 2), differential(ring, 3)
-    e1, e2 = dx, dy
-    e3 = du - wedge(y, dx) * divide(rc, imt) + wedge(y, dy) * divide(ic, imt)
-    e4 = dv - wedge(y, dx) * divide(ic, imt) - wedge(y, dy) * divide(rc, imt)
+    a, b = divide(rc, imt), divide(ic, imt)
+    one = ring.one()
+    e1, e2 = differential(ring, 0), differential(ring, 1)
+    e3 = _written(ring, {"du": one, "y*dx": -a, "y*dy": b}, REAL_NAMES)
+    e4 = _written(ring, {"dv": one, "y*dx": -b, "y*dy": -a}, REAL_NAMES)
     eps3 = e3 * ic - e4 * rc
     eps4 = e3 * rc + e4 * ic
     return {"e1": e1, "e2": e2, "e3": e3, "e4": e4,
             "eps1": e1, "eps2": e2, "eps3": eps3, "eps4": eps4}
 
 
-def real_deck_images(g, d):
-    """The action of the deck of g on (x, y, u, v), as substitution images."""
-    ring = d.ring
-    aff = to_affine(g, d)
-    x, y = variable(ring, 0), variable(ring, 1)
-    u, v = variable(ring, 2), variable(ring, 3)
-    rl, il = re_value(aff.q1), im_value(aff.q1, ring)
+def real_deck_images(f, ring):
+    """The action of the deck transformation f, a CoverMap with a = e = 1
+    and q2 = 0, on (x, y, u, v), as substitution images."""
+    x, y, u, v = _VAR_EXPS
+    one = ring.one()
+    rl, il = re_value(f.q1), im_value(f.q1, ring)
     return [
-        x + constant(ring, re_value(aff.b)),
-        y + constant(ring, im_value(aff.b, ring)),
-        u + x * rl - y * il + constant(ring, re_value(aff.q0)),
-        v + x * il + y * rl + constant(ring, im_value(aff.q0, ring)),
+        _polynomial(ring, {x: one, ZERO_EXPS: re_value(f.b)}),
+        _polynomial(ring, {y: one, ZERO_EXPS: im_value(f.b, ring)}),
+        _polynomial(ring, {u: one, x: rl, y: -il, ZERO_EXPS: re_value(f.q0)}),
+        _polynomial(ring, {v: one, x: il, y: rl, ZERO_EXPS: im_value(f.q0, ring)}),
     ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
+    """One named identity: whether it holds, and got - want when not."""
+
     name: str
     ok: bool
     residual: str = ""
@@ -329,33 +435,33 @@ def verify_invariant_generators(d):
     results = []
 
     def check(name, got, want, names=COMPLEX_NAMES):
-        diff = got - want
-        results.append(CheckResult(name, not diff, "" if not diff else format_form(diff, names)))
+        if got == want:
+            results.append(CheckResult(name, True))
+        else:
+            results.append(CheckResult(name, False, format_form(got - want, names)))
 
-    gens = generators(d)
+    decks = [to_affine(g, d) for g in generators(d)]
     hol = holomorphic_generators(d)
-    for j, g in enumerate(gens, start=1):
-        images = map_images(to_affine(g, d), ring)
-        d_images = [exterior_d(im) for im in images]
+    for j, f in enumerate(decks, start=1):
+        images, memo = map_images(f, ring), {}
         for name in ("phi1", "phi2"):
-            pulled = substitute(hol[name], images, d_images=d_images)
+            pulled = substitute(hol[name], images, memo=memo)
             check(f"gamma{j}* {name} = {name}", pulled, hol[name])
 
     imt = im_value(d.tau_b.value, ring)
-    half_i = ring.i() * Fraction(1, 2)
+    half_i = ring.i() * _HALF
     target = wedge(hol["phi1"], hol["phibar1"]) * (half_i * divide(d.c, imt))
     check("d phi1 = 0", exterior_d(hol["phi1"]), form_zero(ring))
-    check("dbar phi2 = (i/2)(c/Im tau_B) phi1^phibar1", dbar(hol["phi2"]), target)
-    check("d phi2 = dbar phi2", exterior_d(hol["phi2"]), dbar(hol["phi2"]))
+    dbar_phi2 = dbar(hol["phi2"])
+    check("dbar phi2 = (i/2)(c/Im tau_B) phi1^phibar1", dbar_phi2, target)
+    check("d phi2 = dbar phi2", exterior_d(hol["phi2"]), dbar_phi2)
 
     real = real_generators(d)
-    decks = []  # per generator: the deck's real images and their differentials
-    for g in gens:
-        images = real_deck_images(g, d)
-        decks.append((images, [exterior_d(im) for im in images]))
-    for j, (images, d_images) in enumerate(decks, start=1):
+    # per deck: its real images and the memo of the monomials they pull back
+    real_decks = [(real_deck_images(f, ring), {}) for f in decks]
+    for j, (images, memo) in enumerate(real_decks, start=1):
         for name in ("e1", "e2", "e3", "e4"):
-            pulled = substitute(real[name], images, d_images=d_images)
+            pulled = substitute(real[name], images, memo=memo)
             check(f"gamma{j}* {name} = {name}", pulled, real[name], REAL_NAMES)
 
     rc, ic = re_value(d.c), im_value(d.c, ring)
@@ -365,52 +471,55 @@ def verify_invariant_generators(d):
     check("d eps3 = 0", exterior_d(real["eps3"]), form_zero(ring), REAL_NAMES)
 
     # the de Rham generators: closed, invariant, and the displayed expansions
-    y = variable(ring, 1)
-    dx, dy = differential(ring, 0), differential(ring, 1)
-    du, dv = differential(ring, 2), differential(ring, 3)
     w = wedge
-    norm_c_over_im = divide(d.c * d.c.conjugate(), imt)
+    one, norm_c = ring.one(), d.c * d.c.conjugate()
+    norm_c_over_im = divide(norm_c, imt)
+
+    def shown(coeffs):
+        return _written(ring, coeffs, REAL_NAMES)
+
     table = {
-        "eps1": (real["eps1"], dx),
-        "eps2": (real["eps2"], dy),
-        "eps3": (real["eps3"], w(y, dy) * norm_c_over_im + du * ic - dv * rc),
+        "eps1": (real["eps1"], shown({"dx": one})),
+        "eps2": (real["eps2"], shown({"dy": one})),
+        "eps3": (real["eps3"], shown({"y*dy": norm_c_over_im, "du": ic, "dv": -rc})),
         "eps1^eps3": (
             w(real["eps1"], real["eps3"]),
-            w(w(y, dx), dy) * norm_c_over_im + w(dx, du) * ic - w(dx, dv) * rc,
+            shown({"y*dx*dy": norm_c_over_im, "dx*du": ic, "dx*dv": -rc}),
         ),
-        "eps1^eps4": (w(real["eps1"], real["eps4"]), w(dx, du) * rc + w(dx, dv) * ic),
-        "eps2^eps3": (w(real["eps2"], real["eps3"]), w(dy, du) * ic - w(dy, dv) * rc),
+        "eps1^eps4": (w(real["eps1"], real["eps4"]), shown({"dx*du": rc, "dx*dv": ic})),
+        "eps2^eps3": (w(real["eps2"], real["eps3"]), shown({"dy*du": ic, "dy*dv": -rc})),
         "eps2^eps4": (
             w(real["eps2"], real["eps4"]),
-            w(w(y, dx), dy) * norm_c_over_im + w(dy, du) * rc + w(dy, dv) * ic,
+            shown({"y*dx*dy": norm_c_over_im, "dy*du": rc, "dy*dv": ic}),
         ),
         "eps1^eps2^eps3": (
             w(w(real["eps1"], real["eps2"]), real["eps3"]),
-            w(w(dx, dy), du) * ic - w(w(dx, dy), dv) * rc,
+            shown({"dx*dy*du": ic, "dx*dy*dv": -rc}),
         ),
         "eps1^eps3^eps4": (w(w(real["eps1"], real["eps3"]), real["eps4"]), None),
         "eps2^eps3^eps4": (w(w(real["eps2"], real["eps3"]), real["eps4"]), None),
         "eps1^eps2^eps3^eps4": (
             w(w(real["eps1"], real["eps2"]), w(real["eps3"], real["eps4"])),
-            w(w(dx, dy), w(du, dv)) * (d.c * d.c.conjugate()),
+            shown({"dx*dy*du*dv": norm_c}),
         ),
     }
     for name, (form, display) in table.items():
         check(f"d ({name}) = 0", exterior_d(form), form_zero(ring), REAL_NAMES)
-        for j, (images, d_images) in enumerate(decks, start=1):
-            pulled = substitute(form, images, d_images=d_images)
+        for j, (images, memo) in enumerate(real_decks, start=1):
+            pulled = substitute(form, images, memo=memo)
             check(f"gamma{j}* ({name}) invariant", pulled, form, REAL_NAMES)
         if display is not None:
             check(f"{name} expands as displayed", form, display, REAL_NAMES)
 
     # link between the two pictures: z = x + iy, zeta = u + iv
-    x, u_ = variable(ring, 0), variable(ring, 2)
-    vv = variable(ring, 3)
+    x, y, u, v = _VAR_EXPS
     i = ring.i()
-    link = [x + y * i, x - y * i, u_ + vv * i, u_ - vv * i]
-    check("phi1 = e1 + i e2 under z = x + iy", substitute(hol["phi1"], link),
+    link = [_polynomial(ring, {x: one, y: i}), _polynomial(ring, {x: one, y: -i}),
+            _polynomial(ring, {u: one, v: i}), _polynomial(ring, {u: one, v: -i})]
+    memo = {}
+    check("phi1 = e1 + i e2 under z = x + iy", substitute(hol["phi1"], link, memo=memo),
           real["e1"] + real["e2"] * i, REAL_NAMES)
-    check("phi2 = e3 + i e4 under z = x + iy", substitute(hol["phi2"], link),
+    check("phi2 = e3 + i e4 under z = x + iy", substitute(hol["phi2"], link, memo=memo),
           real["e3"] + real["e4"] * i, REAL_NAMES)
     return results
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 
 from .exactfield import NumberRing, SymbolDecl, Tau, from_payload, to_payload
@@ -140,9 +141,15 @@ def load_scene(path):
     return parse_scene(doc, path)
 
 
+@cache
+def _scenes_dir():
+    """The directory of the bundled scenes, resolved once per process."""
+    return resources.files(__package__) / "scenes"
+
+
 def bundled_scene(name):
     """Decoded JSON document of a scene shipped with the package."""
-    entry = resources.files(__package__) / "scenes" / f"{name}.json"
+    entry = _scenes_dir() / f"{name}.json"
     if not entry.is_file():
         have = ", ".join(bundled_scene_names())
         raise SceneError(f"no bundled scene {name!r}; available: {have}")
@@ -150,8 +157,7 @@ def bundled_scene(name):
 
 
 def bundled_scene_names():
-    root = resources.files(__package__) / "scenes"
-    return sorted(p.name[:-5] for p in root.iterdir() if p.name.endswith(".json"))
+    return sorted(p.name[:-5] for p in _scenes_dir().iterdir() if p.name.endswith(".json"))
 
 
 def _symbol_doc(s):

@@ -212,6 +212,71 @@ def test_from_payload_adds_repeated_monomials():
     assert from_payload(RH, [[[["r3", -1]], "1/1"]]) == divide(RH.one(), R3)
 
 
+def _from_payload_reference(ring, payload):
+    """from_payload as first written: one NumberValue of Fractions per term,
+    added to the total."""
+    from kodaira.exactfield import _pair
+    total = ring.zero()
+    for term in payload:
+        mono, q = _pair(term, "term", "[monomial, coefficient]")
+        if not isinstance(mono, (list, tuple)):
+            raise ValueError(f"monomial {mono!r} of term {term!r} is not a list")
+        exps = {}
+        for entry in mono:
+            name, e = _pair(entry, "monomial entry", "[name, exponent]")
+            if not isinstance(name, str) or name not in ring._index:
+                raise ValueError(f"unknown symbol {name!r}")
+            k = ring._index[name]
+            try:
+                exps[k] = exps.get(k, 0) + int(str(e))
+            except ValueError:
+                raise ValueError(f"exponent {e!r} of symbol {name!r} is not an integer") from None
+        factor, m = ring._reduce(exps)
+        num, _, den = str(q).partition("/")
+        try:
+            num, den = int(num), int(den) if den else 1
+        except ValueError:
+            raise ValueError(f"coefficient {q!r} is not an integer or a fraction p/q") from None
+        if not den:
+            raise ValueError(f"coefficient {q!r} has a zero denominator")
+        total = total + NumberValue(ring, {m: Fraction(num, den) * factor})
+    return total
+
+
+RHT = NumberRing([SymbolDecl("i", d=1), SymbolDecl("r3", d=3), SymbolDecl("t")])
+_valid_terms = st.tuples(
+    st.lists(st.tuples(st.sampled_from(["i", "r3", "t"]), st.integers(-3, 4)).map(list),
+             max_size=3),
+    st.one_of(st.builds(lambda p, q: f"{p}/{q}", st.integers(-30, 30),
+                        st.integers(-6, 6).filter(bool)),
+              st.integers(-30, 30)),
+).map(list)
+_bad_terms = st.one_of(
+    st.tuples(st.lists(st.tuples(st.sampled_from(["i", "z", 5]),
+                                 st.sampled_from([1, 1.5, True, "2", "x"])).map(list),
+                       max_size=2),
+              st.sampled_from(["7", "1/0", "x", "1/x", "", "2/3/4", 1.5])).map(list),
+    st.sampled_from([[], [[]], "i", [["i"], "1"], [["i", 1, 2], "1"], [["i", 1], "1/2", 3]]),
+)
+_payloads = st.one_of(st.lists(_valid_terms, max_size=5),
+                      st.lists(st.one_of(_valid_terms, _bad_terms), max_size=5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_from_payload_against_the_reference(payload):
+    # same value in the same storage, or the same error message
+    try:
+        want = _from_payload_reference(RHT, payload)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            from_payload(RHT, payload)
+        assert str(got.value) == str(exc)
+        return
+    got = from_payload(RHT, payload)
+    assert got == want and (got._n, got._d) == (want._n, want._d)
+
+
 def test_values_are_stored_in_lowest_terms():
     x = NumberValue(RH, {(): Fraction(2, 6), ((1, 1),): Fraction(-4, 6)})
     assert (x._d, x._n) == (3, {(): 1, ((1, 1),): -2})

@@ -8,7 +8,7 @@ from functools import reduce
 import pytest
 
 from kodaira import forms
-from kodaira.exactfield import DomainError, NumberRing, SymbolDecl, Tau, divide
+from kodaira.exactfield import DomainError, NumberRing, NumberValue, SymbolDecl, Tau, divide
 from kodaira.forms import (
     BASIS_LABELS,
     BLOCK_ORDER,
@@ -48,10 +48,11 @@ from kodaira.lifts import (
     order_n_lift,
     z_coefficient,
 )
+from kodaira.pi1 import CoverMap
 from kodaira.scene import bundled_scene, parse_scene
 from kodaira.surface import KodairaData
 
-from conftest import rand_auto_lift, rand_pi1
+from conftest import rand_auto_lift, rand_pi1, rand_value
 
 R = NumberRing()
 I = R.i()
@@ -126,6 +127,45 @@ def test_substitute_identity_and_composition():
         assert substitute(a, idents) == a
 
 
+def _substitute_term_by_term(a, images):
+    """The pullback built afresh for every term: the coefficient as a
+    constant, wedged with one image per variable power and one image
+    differential per letter of the word."""
+    ring = a.ring
+    out = form_zero(ring)
+    for (exps, word), v in a.terms.items():
+        term = constant(ring, v)
+        for k, e in enumerate(exps):
+            for _ in range(e):
+                term = wedge(term, images[k])
+        for k in word:
+            term = wedge(term, exterior_d(images[k]))
+        out = out + term
+    return out
+
+
+def test_memo_substitution_matches_term_by_term():
+    rng = random.Random(16)
+    for ring in (R, RH, RT):
+        idents = [variable(ring, k) for k in range(4)]
+        for _ in range(4):
+            f = CoverMap(rand_value(ring, rng), rand_value(ring, rng),
+                         Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+                         rand_value(ring, rng), rand_value(ring, rng), rand_value(ring, rng))
+            images = map_images(f, ring)
+            memo, ident_memo = {}, {}
+            for j in range(10):
+                # every other form a product, so words of two and more letters
+                a = _rand_form(ring, rng)
+                if j % 2:
+                    a = wedge(a, _rand_form(ring, rng, degree_vars=1))
+                assert substitute(a, images, memo=memo) == _substitute_term_by_term(a, images)
+                assert substitute(a, idents, memo=ident_memo) == a
+                assert substitute(a, idents) == a
+            one = constant(ring, 1)
+            assert substitute(one, images, memo=memo) == one
+
+
 # --- invariant generators -------------------------------------------------
 
 
@@ -135,6 +175,70 @@ def test_invariant_generator_identities(d):
     assert len(results) == 96
     failed = [r.name for r in results if not r.ok]
     assert failed == []
+
+
+def test_verify_op_counts(monkeypatch):
+    # a count, not a time: the term-by-term engine made 270 wedge calls and
+    # 920 ring multiplies in this call; allow at most about half of each
+    d = parse_scene(bundled_scene("order4")).data
+    counts = {"wedge": 0, "mul": 0}
+    wedge_, mul_ = forms.wedge, NumberValue.__mul__
+
+    def counting_wedge(a, b):
+        counts["wedge"] += 1
+        return wedge_(a, b)
+
+    def counting_mul(x, y):
+        counts["mul"] += 1
+        return mul_(x, y)
+
+    monkeypatch.setattr(forms, "wedge", counting_wedge)
+    monkeypatch.setattr(NumberValue, "__mul__", counting_mul)
+    assert all(r.ok for r in verify_invariant_generators(d))
+    assert counts["wedge"] <= 135 and counts["mul"] <= 453, counts
+
+
+@pytest.mark.parametrize("d", [D2, DHEX, DT], ids=["square", "hex", "transcendental"])
+def test_verify_reports_broken_generators(monkeypatch, d):
+    # e3 gains y dx and phi2 gets 2k in place of k: phi2' = 2 phi2 - dzeta
+    ring = d.ring
+    y, dx, dy = variable(ring, 1), differential(ring, 0), differential(ring, 1)
+    real, hol = forms.real_generators, forms.holomorphic_generators
+
+    def bad_real(d):
+        out = real(d)
+        out["e3"] = out["e3"] + wedge(y, dx)
+        return out
+
+    def bad_hol(d):
+        out = hol(d)
+        out["phi2"] = out["phi2"] * 2 - differential(d.ring, 2)
+        return out
+
+    monkeypatch.setattr(forms, "real_generators", bad_real)
+    monkeypatch.setattr(forms, "holomorphic_generators", bad_hol)
+    results = verify_invariant_generators(d)
+    assert len(results) == 96
+    # got - want of each failing check, in closed form: gamma1 moves z by tau_B
+    # and y by Im tau_B, k (conj tau_B - tau_B) = -c, and (i/2)(c / Im tau_B)
+    # is the coefficient of dbar phi2 on dz^dzbar
+    imt = im_value(d.tau_b.value, ring)
+    c_over_imt = divide(d.c, imt)
+    dz, dzb = differential(ring, 0), differential(ring, 1)
+    want = {
+        "gamma1* phi2 = phi2": (dz * -d.c, forms.COMPLEX_NAMES),
+        "dbar phi2 = (i/2)(c/Im tau_B) phi1^phibar1":
+            (wedge(dz, dzb) * (ring.i() * HALF * c_over_imt), forms.COMPLEX_NAMES),
+        "gamma1* e3 = e3": (dx * imt, forms.REAL_NAMES),
+        "d e3 = (Re c/Im tau_B) e1^e2": (-wedge(dx, dy), forms.REAL_NAMES),
+        "phi2 = e3 + i e4 under z = x + iy":
+            (wedge(y, dx + dy * ring.i()) * -c_over_imt - wedge(y, dx), forms.REAL_NAMES),
+    }
+    failed = {r.name: r.residual for r in results if not r.ok}
+    assert list(failed) == list(want)
+    for name, (form, names) in want.items():
+        assert failed[name] == forms.format_form(form, names), name
+    assert all(r.residual == "" for r in results if r.ok)
 
 
 def test_dbar_phi2_value():
