@@ -33,14 +33,12 @@ from .lifts import (
     MapClass,
     NotInKerPsi,
     as_deck,
-    canonical_unit,
+    canonical_lift,
     classify_kernel,
     compose,
-    count_base_translations_infinite,
     descent_check,
     factor_semidirect,
     nk_invariants,
-    order_n_lift,
     power,
     unit_group_order,
 )
@@ -224,10 +222,8 @@ def cmd_power(scene, args, fmt):
 
 def cmd_order_n(scene, args, fmt):
     d = scene.data
-    n = unit_group_order(d.tau_b)
-    omega = canonical_unit(d.tau_b)
-    l = order_n_lift(d, omega)
-    _emit({"n": n, "unit": omega, "lift": lift_fields(l),
+    l = canonical_lift(d)
+    _emit({"n": unit_group_order(d.tau_b), "unit": l.alpha, "lift": lift_fields(l),
            "class": descent_check(l, d).value}, fmt)
 
 
@@ -254,11 +250,9 @@ def cmd_kernel_class(scene, args, fmt):
 
 
 def cmd_nk(scene, args, fmt):
-    d = scene.data
-    inv = nk_invariants(d)
+    inv = nk_invariants(scene.data)
     _emit({"free_rank": inv.free_rank, "torsion": list(inv.torsion),
-           "infinitely_many_base_translations": count_base_translations_infinite(d)},
-          fmt)
+           "infinitely_many_base_translations": inv.infinite}, fmt)
 
 
 def cmd_cohomology(scene, args, fmt):

@@ -139,16 +139,20 @@ class NumberRing:
 
     def __init__(self, symbols=()):
         decls = list(symbols)
-        if not any(s.name == "i" for s in decls):
-            decls.insert(0, SymbolDecl("i", d=1))
         names = [s.name for s in decls]
-        if len(set(names)) != len(names):
+        if "i" not in names:
+            decls.insert(0, SymbolDecl("i", d=1))
+            names.insert(0, "i")
+        self._index = {name: k for k, name in enumerate(names)}
+        if len(self._index) != len(names):
             raise ValueError(f"duplicate symbol names in {names}")
-        for s in decls:
-            if s.name == "i" and s.d != 1:
-                raise ValueError("the symbol 'i' is reserved for the imaginary unit")
+        if decls[self._index["i"]].d != 1:
+            raise ValueError("the symbol 'i' is reserved for the imaginary unit")
         self.symbols = tuple(decls)
-        self._index = {s.name: k for k, s in enumerate(self.symbols)}
+        # the value key: equality and hash compare these plain tuples, so two
+        # rings built from equal declarations are equal without comparing
+        # SymbolDecl objects
+        self.key = tuple([(s.name, s.d, s.approx) for s in decls])
         self._check_independence()
         # (m1, m2) -> (integer factor, reduced monomial) of m1*m2
         self._products = {}
@@ -186,10 +190,10 @@ class NumberRing:
                 raise ValueError(f"dependent quadratic symbols: product of d's {prod} is a square")
 
     def __eq__(self, other):
-        return isinstance(other, NumberRing) and self.symbols == other.symbols
+        return self is other or (isinstance(other, NumberRing) and self.key == other.key)
 
     def __hash__(self):
-        return hash(self.symbols)
+        return hash(self.key)
 
     def __repr__(self):
         return f"NumberRing({', '.join(s.name for s in self.symbols)})"
@@ -224,14 +228,19 @@ class NumberRing:
         """(factor, reduced monomial) of the product of symbol powers
         {index: exponent}.  A quadratic s has s^e = (-d)^(e // 2) * s^(e % 2),
         so the factor is an int unless a quadratic exponent is negative."""
+        if len(exps) == 1:
+            ((k, e),) = exps.items()
+            if e == 1:  # one symbol to the first power, the common monomial
+                return 1, ((k, 1),)
         factor = 1
         out = []
+        symbols = self.symbols
         for k in sorted(exps):
             e = exps[k]
-            s = self.symbols[k]
-            if s.is_quadratic:
+            d = symbols[k].d
+            if d is not None and not 0 <= e <= 1:  # a quadratic symbol past s^1
                 half, e = divmod(e, 2)
-                factor *= (-s.d) ** half if half >= 0 else Fraction(-1, s.d) ** -half
+                factor *= (-d) ** half if half >= 0 else Fraction(-1, d) ** -half
             if e:
                 out.append((k, e))
         return factor, tuple(out)
@@ -247,7 +256,10 @@ class NumberRing:
 
 
 def _mono_degree(mono):
-    return sum(e for _, e in mono)
+    n = 0
+    for _, e in mono:
+        n += e
+    return n
 
 
 def _raw(ring, nums, den):
@@ -369,9 +381,14 @@ class NumberValue:
             return self._d == q.denominator and self._n == {ONE_MONO: q.numerator}
         return NotImplemented
 
+    def key(self):
+        """The storage as plain data, (den, sorted numerators): two values of
+        equal rings are equal exactly when their keys are."""
+        return self._d, tuple(sorted(self._n.items()))
+
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._d, tuple(sorted(self._n.items()))))
+            self._hash = hash(self.key())
         return self._hash
 
     def __add__(self, other):
@@ -551,14 +568,16 @@ class Tau:
     def __init__(self, value):
         if isinstance(value, Tau):
             value = value.value
-        w = value - value.conjugate()
-        monos = w.monomials()
-        ok = len(monos) == 1 and len(monos[0]) == 1 and monos[0][0][1] == 1
-        if not ok or w.coeff(monos[0]) <= 0:
+        # value - conjugate(value) is twice the odd-degree part of value, so
+        # the constraint reads: one odd-degree numerator, on a single symbol
+        # to the first power, and positive
+        odd = [(m, q) for m, q in value._n.items() if _mono_degree(m) % 2]
+        if len(odd) != 1 or len(odd[0][0]) != 1 or odd[0][0][0][1] != 1 or odd[0][1] <= 0:
             raise ValueError(f"not a valid upper-half-plane point: {value}")
+        (((k, _),), q), = odd
         self.value = value
-        self._im_index = monos[0][0][0]
-        self._im_coeff = w.coeff(monos[0]) / 2  # coefficient of the symbol in tau
+        self._im_index = k
+        self._im_coeff = Fraction(q, value._d)  # coefficient of the symbol in tau
         # the non-constant numerators of tau, for decompose (never empty)
         self._span = tuple((m, q) for m, q in sorted(value._n.items()) if m != ONE_MONO)
 
@@ -694,24 +713,35 @@ def from_payload(ring, payload):
     """Inverse of to_payload; validates symbol names against the ring.
 
     Monomials are reduced (s^2 = -d for a quadratic s), and terms on the same
-    monomial add up.  Each term is checked in turn; the integer numerators are
-    then summed over the lcm of the term denominators.
+    monomial add up.  Each term is checked in turn, and its integer numerator
+    is added over the lcm of the denominators seen so far.
     """
-    terms = []  # (monomial, numerator, denominator > 0)
+    index = ring._index
+    nums, common = {}, 1  # the value so far: sum(nums[m] * m) / common
     for term in payload:
-        mono, q = _pair(term, "term", "[monomial, coefficient]")
+        # a JSON document gives two-item lists; anything else is checked by _pair
+        if type(term) is list and len(term) == 2:
+            mono, q = term
+        else:
+            mono, q = _pair(term, "term", "[monomial, coefficient]")
         if not isinstance(mono, (list, tuple)):
             raise ValueError(f"monomial {mono!r} of term {term!r} is not a list")
         exps = {}
         for entry in mono:
-            name, e = _pair(entry, "monomial entry", "[name, exponent]")
-            if not isinstance(name, str) or name not in ring._index:
+            if type(entry) is list and len(entry) == 2:
+                name, e = entry
+            else:
+                name, e = _pair(entry, "monomial entry", "[name, exponent]")
+            k = index.get(name) if isinstance(name, str) else None
+            if k is None:
                 raise ValueError(f"unknown symbol {name!r}")
-            k = ring._index[name]
-            try:  # through str, so a float or bool is refused, not truncated
-                exps[k] = exps.get(k, 0) + int(str(e))
-            except ValueError:
-                raise ValueError(f"exponent {e!r} of symbol {name!r} is not an integer") from None
+            if type(e) is not int:
+                try:  # through str, so a float or bool is refused, not truncated
+                    e = int(str(e))
+                except ValueError:
+                    raise ValueError(
+                        f"exponent {e!r} of symbol {name!r} is not an integer") from None
+            exps[k] = exps.get(k, 0) + e
         factor, m = ring._reduce(exps)
         num, _, den = str(q).partition("/")
         try:
@@ -720,12 +750,18 @@ def from_payload(ring, payload):
             raise ValueError(f"coefficient {q!r} is not an integer or a fraction p/q") from None
         if not den:
             raise ValueError(f"coefficient {q!r} has a zero denominator")
-        num, den = num * factor.numerator, den * factor.denominator  # factor: int or Fraction
-        terms.append((m, num, den) if den > 0 else (m, -num, -den))
-    common = lcm(*(den for _, _, den in terms))
-    nums = {}
-    for m, num, den in terms:
-        nums[m] = nums.get(m, 0) + num * (common // den)
+        if factor != 1:  # an int, or a Fraction for a negative quadratic exponent
+            num, den = num * factor.numerator, den * factor.denominator
+        if den < 0:
+            num, den = -num, -den
+        if den != common:
+            new = lcm(common, den)
+            if new != common:
+                scale = new // common
+                nums = {mm: n * scale for mm, n in nums.items()}
+                common = new
+            num *= common // den
+        nums[m] = nums.get(m, 0) + num
     return _lowest(ring, {m: n for m, n in nums.items() if n}, common)
 
 

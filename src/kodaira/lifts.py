@@ -89,6 +89,11 @@ class AbelianInvariants:
             if t % s:
                 raise ValueError("torsion entries must form a divisibility chain")
 
+    @property
+    def infinite(self):
+        """Whether the group is infinite: free rank at least 1."""
+        return self.free_rank >= 1
+
 
 @dataclass(frozen=True)
 class NotInKerPsi:
@@ -319,13 +324,21 @@ def factor_semidirect(l, d):
     return compose(l, _inverse_rotation(d, e), d), e
 
 
+def canonical_lift(d):
+    """The canonical order-n lift over canonical_unit(tau_B), built on first
+    use and kept in the surface's LatticeFrame."""
+    f = lattice_frame(d)
+    if f.canonical_lift is None:
+        f.canonical_lift = order_n_lift(d, canonical_unit(d.tau_b))
+    return f.canonical_lift
+
+
 def _inverse_rotation(d, e):
     """The inverse of the e-th power of the canonical order-n lift, built on
     first use and kept in the surface's LatticeFrame."""
     cache = lattice_frame(d).inverse_rotations
     if e not in cache:
-        base = order_n_lift(d, canonical_unit(d.tau_b))
-        cache[e] = invert(power(base, e, d), d)
+        cache[e] = invert(power(canonical_lift(d), e, d), d)
     return cache[e]
 
 
@@ -378,5 +391,6 @@ def nk_invariants(d):
 
 
 def count_base_translations_infinite(d):
-    """Whether infinitely many base translations arise from automorphisms."""
-    return nk_invariants(d).free_rank >= 1
+    """Whether infinitely many base translations arise from automorphisms,
+    that is, whether N/K is infinite."""
+    return nk_invariants(d).infinite

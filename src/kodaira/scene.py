@@ -51,28 +51,54 @@ def require(cond, msg):
         raise SceneError(msg)
 
 
-def _parse_value(ring, payload, where):
-    require(isinstance(payload, list), f"{where}: expected a payload list")
+def _parse_value(ring, payload, where, field):
+    """The value of the payload at where.field; messages name that field."""
+    if not isinstance(payload, list):
+        raise SceneError(f"{where}.{field}: expected a payload list")
     try:
         return from_payload(ring, payload)
     except Exception as exc:
-        raise SceneError(f"{where}: {exc}") from None
+        raise SceneError(f"{where}.{field}: {exc}") from None
+
+
+def _check_keys(obj, where, allowed, required=frozenset()):
+    """Raise SceneError naming the missing keys of obj, if any, else the
+    keys it has beyond allowed."""
+    missing = required - obj.keys()
+    if missing:
+        raise SceneError(f"{where}: missing {sorted(missing)}")
+    bad = obj.keys() - allowed
+    if bad:
+        raise SceneError(f"{where}: unknown keys {sorted(bad)}")
+
+
+_TOP_KEYS = frozenset({"ring", "surface", "lifts", "options"})
+_SYMBOL_KEYS = frozenset({"name", "d", "approx"})
+_SURFACE_KEYS = frozenset(SURFACE_FIELDS)
+_LIFT_KEYS = frozenset(LIFT_FIELDS)
+_OPTION_KEYS = frozenset({"format", "precision"})
 
 
 def parse_scene(doc, name="scene"):
-    """Build a Scene from a decoded JSON document."""
-    require(isinstance(doc, dict), f"{name}: top level must be an object")
-    extra = set(doc) - {"ring", "surface", "lifts", "options"}
-    require(not extra, f"{name}: unknown keys {sorted(extra)}")
-    require("surface" in doc, f"{name}: missing 'surface'")
+    """Build a Scene from a decoded JSON document.
+
+    The checks run in a fixed order and the first failure is reported; its
+    message, and any sorted list of keys in it, is built only then.
+    """
+    if not isinstance(doc, dict):
+        raise SceneError(f"{name}: top level must be an object")
+    _check_keys(doc, name, _TOP_KEYS)
+    if "surface" not in doc:
+        raise SceneError(f"{name}: missing 'surface'")
 
     decls = []
     require(isinstance(doc.get("ring", []), list), "ring: expected a list of symbols")
     for k, entry in enumerate(doc.get("ring", [])):
-        require(isinstance(entry, dict) and "name" in entry,
-               f"ring[{k}]: expected an object with a 'name'")
-        bad = set(entry) - {"name", "d", "approx"}
-        require(not bad, f"ring[{k}]: unknown keys {sorted(bad)}")
+        if not (isinstance(entry, dict) and "name" in entry):
+            raise SceneError(f"ring[{k}]: expected an object with a 'name'")
+        bad = entry.keys() - _SYMBOL_KEYS
+        if bad:
+            raise SceneError(f"ring[{k}]: unknown keys {sorted(bad)}")
         try:
             decls.append(SymbolDecl(entry["name"], d=entry.get("d"),
                                     approx=entry.get("approx")))
@@ -85,14 +111,11 @@ def parse_scene(doc, name="scene"):
 
     surf = doc["surface"]
     require(isinstance(surf, dict), "surface: expected an object")
-    missing = set(SURFACE_FIELDS) - set(surf)
-    require(not missing, f"surface: missing {sorted(missing)}")
-    bad = set(surf) - set(SURFACE_FIELDS)
-    require(not bad, f"surface: unknown keys {sorted(bad)}")
+    _check_keys(surf, "surface", _SURFACE_KEYS, required=_SURFACE_KEYS)
     fields = {}
     try:
         for f in SURFACE_FIELDS:
-            value = _parse_value(ring, surf[f], f"surface.{f}")
+            value = _parse_value(ring, surf[f], "surface", f)
             fields[f] = Tau(value) if f.startswith("tau_") else value
         data = KodairaData(**fields)
     except ValueError as exc:
@@ -102,25 +125,23 @@ def parse_scene(doc, name="scene"):
     entries = doc.get("lifts", {})
     require(isinstance(entries, dict), "lifts: expected an object")
     for lname, entry in entries.items():
-        require(isinstance(entry, dict), f"lifts.{lname}: expected an object")
-        missing = set(LIFT_FIELDS) - set(entry)
-        require(not missing, f"lifts.{lname}: missing {sorted(missing)}")
-        bad = set(entry) - set(LIFT_FIELDS)
-        require(not bad, f"lifts.{lname}: unknown keys {sorted(bad)}")
-        lifts[lname] = SpecialLift(**{f: _parse_value(ring, entry[f], f"lifts.{lname}.{f}")
+        where = f"lifts.{lname}"
+        if not isinstance(entry, dict):
+            raise SceneError(f"{where}: expected an object")
+        _check_keys(entry, where, _LIFT_KEYS, required=_LIFT_KEYS)
+        lifts[lname] = SpecialLift(**{f: _parse_value(ring, entry[f], where, f)
                                       for f in LIFT_FIELDS})
 
     options = doc.get("options", {})
     require(isinstance(options, dict), "options: expected an object")
-    bad = set(options) - {"format", "precision"}
-    require(not bad, f"options: unknown keys {sorted(bad)}")
+    _check_keys(options, "options", _OPTION_KEYS)
     if "format" in options:
         require(options["format"] in ("json", "table"),
-               "options.format: expected 'json' or 'table'")
+                "options.format: expected 'json' or 'table'")
     if "precision" in options:
         p = options["precision"]
         require(isinstance(p, int) and not isinstance(p, bool) and p > 0,
-               "options.precision: expected a positive integer")
+                "options.precision: expected a positive integer")
 
     return Scene(ring, data, lifts, options)
 
@@ -149,11 +170,14 @@ def _scenes_dir():
 
 def bundled_scene(name):
     """Decoded JSON document of a scene shipped with the package."""
-    entry = _scenes_dir() / f"{name}.json"
-    if not entry.is_file():
+    # one read, which fails on a missing file and on a name no file system
+    # accepts (one with a NUL byte, or too long)
+    try:
+        raw = (_scenes_dir() / f"{name}.json").read_bytes()
+    except (OSError, ValueError):
         have = ", ".join(bundled_scene_names())
-        raise SceneError(f"no bundled scene {name!r}; available: {have}")
-    return json.loads(entry.read_text(encoding="utf-8"))
+        raise SceneError(f"no bundled scene {name!r}; available: {have}") from None
+    return json.loads(raw.decode("utf-8"))
 
 
 def bundled_scene_names():

@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import floor, gcd, sqrt
 
 from .exactfield import (
@@ -43,9 +43,15 @@ class NoEmbedding(DomainError):
     """A transcendental symbol has no numeric value for display."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KodairaData:
-    """The defining tuple (tau_B, tau_E, c, delta) of a Kodaira surface."""
+    """The defining tuple (tau_B, tau_E, c, delta) of a Kodaira surface.
+
+    Equality is that of the four values (so of their rings too), read off a
+    key of plain data built once with the hash: an equal surface parsed
+    again finds the per-surface caches (lattice_frame) by comparing ints
+    and strings.
+    """
 
     tau_b: Tau
     tau_e: Tau
@@ -60,6 +66,19 @@ class KodairaData:
             raise ValueError("c must be nonzero")
         if not in_lattice(self.c, self.tau_e):
             raise ValueError(f"c = {self.c} is not in the lattice of tau_E")
+        # one ring key serves all four values: their rings are equal
+        key = (ring.key, self.tau_b.value.key(), self.tau_e.value.key(), self.c.key(),
+               self.delta.key())
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def ring(self):
@@ -271,21 +290,22 @@ def canonical_unit(tau):
     return -tau.ring.one()
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class LatticeFrame:
     """The lattice constants of one surface, which every lift over it uses.
 
     epsilon = delta - c tau_B / 2 and half_c = c / 2; c_coords = (a, b) with
     c = a tau_E + b; unit_powers = (1, omega, ..., omega^(n-1)) for the
-    canonical unit omega of order n.  inverse_rotations maps an exponent e
-    to the inverse of the e-th power of the canonical order-n lift; lifts
-    fills it on first use of each e.
+    canonical unit omega of order n.  canonical_lift is the canonical
+    order-n lift over omega, and inverse_rotations maps an exponent e to the
+    inverse of its e-th power; lifts fills both on first use (of each e).
     """
 
     epsilon: NumberValue
     half_c: NumberValue
     c_coords: tuple[int, int]
     unit_powers: tuple
+    canonical_lift: object = None
     inverse_rotations: dict = field(default_factory=dict)
 
 
@@ -336,8 +356,11 @@ def _is_integer(x):
 _N_TERMS = 40
 
 
+@cache
 def _j_q_coefficients(n=_N_TERMS):
-    """Integer coefficients a_k with j = sum a_k q^(k-1), k = 0..n-1."""
+    """Integer coefficients a_k with j = sum a_k q^(k-1), k = 0..n-1, as a
+    tuple built on first use: only moduli_point reads them, so importing the
+    package does not pay for the series."""
     e4 = [1] + [240 * sum(t**3 for t in range(1, k + 1) if k % t == 0) for k in range(1, n)]
     e4_cubed = _series_mul(_series_mul(e4, e4, n), e4, n)
     disc = [1] + [0] * (n - 1)  # Delta/q = prod (1 - q^k)^24
@@ -349,7 +372,7 @@ def _j_q_coefficients(n=_N_TERMS):
     for k in range(n):
         acc = e4_cubed[k] - sum(out[j] * disc[k - j] for j in range(k))
         out.append(acc)
-    return out
+    return tuple(out)
 
 
 def _series_mul(a, b, n):
@@ -359,9 +382,6 @@ def _series_mul(a, b, n):
             for j in range(min(len(b), n - i)):
                 out[i + j] += ai * b[j]
     return out
-
-
-_J_COEFFS = _j_q_coefficients()
 
 
 def _numeric_symbols(ring):
@@ -412,7 +432,8 @@ def moduli_point(d, precision=15):
         tau_b = _reduce_numeric(tau_b)
     tau_e = approx_complex(d.tau_e.value, values)
     qb = cmath.exp(2j * cmath.pi * tau_b)
-    j = _J_COEFFS[0] / qb + sum(a * qb**k for k, a in enumerate(_J_COEFFS[1:]))
+    coeffs = _j_q_coefficients()
+    j = coeffs[0] / qb + sum(a * qb**k for k, a in enumerate(coeffs[1:]))
     qe = cmath.exp(2j * cmath.pi * tau_e)
 
     def rnd(z):

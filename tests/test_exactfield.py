@@ -258,8 +258,19 @@ _bad_terms = st.one_of(
               st.sampled_from(["7", "1/0", "x", "1/x", "", "2/3/4", 1.5])).map(list),
     st.sampled_from([[], [[]], "i", [["i"], "1"], [["i", 1, 2], "1"], [["i", 1], "1/2", 3]]),
 )
+# from_payload reads two-item lists directly and sends every other shape
+# through _pair: valid terms and entries given as tuples, and entries that are
+# not lists at all, keep that path covered
+_tuple_terms = _valid_terms.map(lambda t: (tuple(tuple(e) for e in t[0]), t[1]))
+_odd_entries = st.tuples(
+    st.lists(st.one_of(st.tuples(st.sampled_from(["i", "r3", "t"]), st.integers(-2, 2)),
+                       st.sampled_from(["i", 5, None, {"i": 1}, ("t",), ["r3", 1, 1]])),
+             max_size=3),
+    st.sampled_from(["1/2", "-3", 4]),
+).map(list)
 _payloads = st.one_of(st.lists(_valid_terms, max_size=5),
-                      st.lists(st.one_of(_valid_terms, _bad_terms), max_size=5))
+                      st.lists(st.one_of(_valid_terms, _bad_terms), max_size=5),
+                      st.lists(st.one_of(_valid_terms, _tuple_terms, _odd_entries), max_size=5))
 
 
 @settings(max_examples=300, deadline=None)
