@@ -11,7 +11,6 @@ Dolbeault cohomology, and their fixed loci.
 
 from .exactfield import (
     DomainError,
-    LatticeElement,
     NotInSpan,
     NotInvertible,
     NumberRing,
@@ -24,7 +23,6 @@ from .surface import KodairaData
 __all__ = [
     "DomainError",
     "KodairaData",
-    "LatticeElement",
     "NotInSpan",
     "NotInvertible",
     "NumberRing",

@@ -52,6 +52,12 @@ class NotInSpan(DomainError):
 # trial division up to sqrt(d), below about a second.
 MAX_QUADRATIC_D = 10**12
 
+# Largest |exponent| of a quadratic symbol in a payload monomial.  s^e
+# reduces to a rational factor of at most d^(|e|/2), which this keeps below
+# 10^384 for any d up to MAX_QUADRATIC_D; a transcendental symbol's exponent
+# is unbounded.
+MAX_QUADRATIC_EXPONENT = 64
+
 
 @lru_cache(maxsize=1024)
 def _squarefree_primes(n):
@@ -612,18 +618,6 @@ class Tau:
         return f"Tau({self.value})"
 
 
-@dataclass(frozen=True)
-class LatticeElement:
-    """a*tau + b with integer a, b: an element of Lambda_tau."""
-
-    a: int
-    b: int
-    tau: Tau
-
-    def value(self):
-        return self.tau.value * self.a + self.tau.ring.value(self.b)
-
-
 def decompose(x, tau):
     """Write x = a*tau + b with rational a, b.
 
@@ -741,7 +735,10 @@ def from_payload(ring, payload):
                 except ValueError:
                     raise ValueError(
                         f"exponent {e!r} of symbol {name!r} is not an integer") from None
-            exps[k] = exps.get(k, 0) + e
+            e = exps[k] = exps.get(k, 0) + e
+            if abs(e) > MAX_QUADRATIC_EXPONENT and ring.symbols[k].is_quadratic:
+                raise ValueError(f"exponent {e} of quadratic symbol {name!r} exceeds "
+                                 f"the limit {MAX_QUADRATIC_EXPONENT}")
         factor, m = ring._reduce(exps)
         num, _, den = str(q).partition("/")
         try:

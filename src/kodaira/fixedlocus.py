@@ -2,9 +2,10 @@
 
 The fixed set of an automorphism is empty, a finite union of fibres of the
 elliptic fibration, or the whole surface (identity only).  Everything here
-is decided exactly: base fixed points come from coset enumeration of
-Lambda_{tau_B}/(1-alpha)Lambda_{tau_B}, and each candidate fibre is kept or
-discarded by a lattice membership test on a lifted point.
+is decided exactly: base fixed points, and the fixed fibres of a gauge lift,
+come from one coset enumeration (_coset_solutions), and each candidate fibre
+of a rotation is kept or discarded by a lattice membership test on a lifted
+point.
 """
 
 from __future__ import annotations
@@ -49,38 +50,32 @@ class FixedLocus:
             raise ValueError(f"kind {self.kind!r} carries no fibres")
 
 
-def _unimodular_inverse(u):
-    det = u[0][0] * u[1][1] - u[0][1] * u[1][0]
+def _coset_solutions(w, b, tau, d):
+    """The z mod Lambda_{tau_B} with w*z + b in Lambda_tau, sorted.
+
+    They are z = (lam - b) / w for lam over Lambda_tau / w Lambda_{tau_B}:
+    [Lambda_tau : w Lambda_{tau_B}] points, one per coset, read off the
+    Smith form U P V = D of w on lattice coordinates (lam = U^-1 r).
+    """
+    col1 = lattice_coords(w * d.tau_b.value, tau)
+    col2 = lattice_coords(w, tau)
+    u, dd, _ = smith_normal_form([[col1[0], col2[0]], [col1[1], col2[1]]])
+    (u11, u12), (u21, u22) = u
+    det = u11 * u22 - u12 * u21
     if det not in (1, -1):
         raise DomainError(f"Smith transform {u} has determinant {det}, not a unit")
-    return [[u[1][1] * det, -u[0][1] * det], [-u[1][0] * det, u[0][0] * det]]
-
-
-def _coset_values(p, b1, b2):
-    """Representatives of Z^2 / p Z^2 embedded as c1*b1 + c2*b2.
-
-    p is an integer 2x2 matrix with nonzero determinant; the count of
-    returned values is |det p|.
-    """
-    u, dd, _ = smith_normal_form([list(row) for row in p])
-    inv_u = _unimodular_inverse(u)
-    out = []
+    w_inv = divide(d.ring.one(), w)
+    points = set()
     for r1 in range(dd[0][0]):
         for r2 in range(dd[1][1]):
-            c1 = inv_u[0][0] * r1 + inv_u[0][1] * r2
-            c2 = inv_u[1][0] * r1 + inv_u[1][1] * r2
-            out.append(b1 * c1 + b2 * c2)
-    return out
-
-
-def _canonical_points(points, tau):
-    reduced = [mod_lattice(z, tau) for z in points]
-    unique = sorted(set(reduced), key=lambda x: x.items())
-    return unique
+            lam = tau.value * (det * (u22 * r1 - u12 * r2)) + det * (u11 * r2 - u21 * r1)
+            points.add(mod_lattice(w_inv * (lam - b), d.tau_b))
+    return sorted(points, key=lambda x: x.items())
 
 
 def base_fixed_points(l, d):
-    """Fixed points of the induced base map, canonicalized mod Lambda_{tau_B}.
+    """Fixed points of the induced base map, canonicalized mod Lambda_{tau_B}:
+    the z with (1 - alpha) z - beta in Lambda_{tau_B}.
 
     For alpha = 1 the base map is a translation: no isolated fixed points
     exist, so the list is empty (beta in the lattice means the base map is
@@ -89,20 +84,7 @@ def base_fixed_points(l, d):
     one = d.ring.one()
     if l.alpha == one:
         return []
-    w = one - l.alpha
-    tb = d.tau_b.value
-    col1 = lattice_coords(w * tb, d.tau_b)
-    col2 = lattice_coords(w, d.tau_b)
-    p = [[col1[0], col2[0]], [col1[1], col2[1]]]
-    offsets = _coset_values(p, tb, one)
-    points = [divide(l.beta + lam, w) for lam in offsets]
-    return _canonical_points(points, d.tau_b)
-
-
-def _zeta_shift(l, d, z0):
-    """The zeta-displacement of the lift at (z0, 0): quadratic + linear + v."""
-    f = cover_map(l, d)
-    return (f.q2 * z0 + f.q1) * z0 + f.q0
+    return _coset_solutions(one - l.alpha, -l.beta, d.tau_b, d)
 
 
 def fibre_is_fixed(l, d, z0):
@@ -115,7 +97,9 @@ def fibre_is_fixed(l, d, z0):
     except NotInSpan:
         raise NotABaseFixedPoint(f"{z0} is not fixed by the base map") from None
     deck = to_affine(from_exponents(m1, m2, 0, 0, d), d)  # carries image_z back to z0
-    residual = _zeta_shift(l, d, z0) + deck.q1 * image_z + deck.q0
+    f = cover_map(l, d)
+    # the lift's zeta-displacement at (z0, 0), then the deck's at image_z
+    residual = (f.q2 * z0 + f.q1) * z0 + f.q0 + deck.q1 * image_z + deck.q0
     return in_lattice(residual, d.tau_e)
 
 
@@ -139,14 +123,6 @@ def fixed_locus(l, d):
         # pure fibre translation (nonzero, or the identity branch above
         # would have caught it): free action, nothing fixed
         return FixedLocus(EMPTY)
-    # solve sigma*z + v in Lambda_{tau_E} mod Lambda_{tau_B}: the solution
-    # set is -v/sigma + (1/sigma)Lambda_{tau_E}, a union of
-    # [(1/sigma)Lambda_{tau_E} : Lambda_{tau_B}] cosets of the base lattice
-    w = divide(one, sigma)
-    col1 = lattice_coords(sigma * d.tau_b.value, d.tau_e)
-    col2 = lattice_coords(sigma, d.tau_e)
-    p = [[col1[0], col2[0]], [col1[1], col2[1]]]
-    offsets = _coset_values(p, w * d.tau_e.value, w)
-    base = -(w * norm.v)
-    points = _canonical_points([base + q for q in offsets], d.tau_b)
-    return FixedLocus(FIBRES, tuple(points))
+    # the fixed fibres are the z with sigma*z + v in Lambda_{tau_E}: a union
+    # of [Lambda_{tau_E} : sigma Lambda_{tau_B}] cosets of the base lattice
+    return FixedLocus(FIBRES, tuple(_coset_solutions(sigma, norm.v, d.tau_e, d)))

@@ -48,7 +48,7 @@ from .exactfield import (
     mod_lattice,
     smith_normal_form,
 )
-from .pi1 import CoverMap, from_exponents, to_affine
+from .pi1 import CoverMap, from_exponents, to_affine, values
 from .surface import canonical_unit, lattice_frame
 from .surface import unit_group_order  # noqa: F401  (perfbench/workloads.py reads it here)
 
@@ -188,7 +188,9 @@ def _sigma(l, d, x, a, b, ax=None):
 
 def sigma_map(l, d, g, ax=None):
     """sigma(g), the fibre part of Phi deck(g) Phi^-1; ax as in _sigma."""
-    out = _sigma(l, d, g.x.value(), g.x.a, g.x.b, ax) + g.y.value() * _norm(l.alpha)
+    x, y = values(g, d)
+    m1, m2, _, _ = g.exponents()
+    out = _sigma(l, d, x, m1, m2, ax) + y * _norm(l.alpha)
     if not in_lattice(out, d.tau_e):
         raise LatticeViolation(f"sigma({g.exponents()}) = {out} is not in the fibre lattice")
     return out
@@ -197,7 +199,7 @@ def sigma_map(l, d, g, ax=None):
 def conjugate_deck(l, d, g):
     """Phi gamma Phi^-1 as a fundamental-group element: (alpha x, sigma(x, y))."""
     try:
-        xa, xb = lattice_coords(l.alpha * g.x.value(), d.tau_b)
+        xa, xb = lattice_coords(l.alpha * values(g, d)[0], d.tau_b)
     except NotInSpan as exc:
         raise LatticeViolation(str(exc)) from exc
     ya, yb = lattice_coords(sigma_map(l, d, g, (xa, xb)), d.tau_e)
@@ -295,8 +297,10 @@ def as_deck(l, d):
 
 
 def deck_lift(g, d):
-    """The deck transformation of g re-expressed as a SpecialLift."""
-    return _lift(to_affine(g, d), d)
+    """The deck transformation of g re-expressed as a SpecialLift.  Its
+    alpha is 1, so D(alpha, 1) = 0 and sigma10 is the z-coefficient q1."""
+    f = to_affine(g, d)
+    return SpecialLift(f.a, f.b, f.q1, f.q0)
 
 
 def equal_mod_pi1(l1, l2, d):

@@ -1,13 +1,13 @@
 """The fundamental group (Lambda_{tau_B} x Lambda_{tau_E}, star).
 
-Elements are pairs of lattice points.  The group law twists the fibre part by
-the skew form:
+An element is a pair (x, y) of lattice points, stored as its four exponents
+(values gives x and y).  The group law twists the fibre part by the skew form:
 
     (x, y) * (x', y') = (x + x', y + y' + D(x, tau_B) D(x', 1) c)
 
 which is exactly how the four affine deck generators compose on the universal
 cover.  Since D takes integer values on the lattice and c is a lattice point,
-everything here is integer arithmetic on coordinates.
+the group law is integer arithmetic on exponents.
 
 CoverMap is the one type for the maps of C^2 that deck transformations and
 lifts of surface maps both are; to_affine gives the deck of an element as one.
@@ -18,21 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactfield import LatticeElement, NotInvertible, NumberValue, cokernel_invariants
+from .exactfield import NotInvertible, NumberValue, cokernel_invariants
 from .surface import lattice_frame
 
 
 @dataclass(frozen=True)
 class Pi1Element:
-    """(x, y) with x in Lambda_{tau_B} and y in Lambda_{tau_E}."""
+    """gamma_1^m1 gamma_2^m2 gamma_3^m3 gamma_4^m4: (x, y) with x = m1*tau_B
+    + m2 in Lambda_{tau_B} and y = m3*tau_E + m4 in Lambda_{tau_E}."""
 
-    x: LatticeElement
-    y: LatticeElement
+    m1: int
+    m2: int
+    m3: int
+    m4: int
 
     def exponents(self):
-        """The quadruple (m1, m2, m3, m4) with x = m1*tau_B + m2 and
-        y = m3*tau_E + m4."""
-        return self.x.a, self.x.b, self.y.a, self.y.b
+        """The quadruple (m1, m2, m3, m4)."""
+        return self.m1, self.m2, self.m3, self.m4
 
 
 @dataclass(frozen=True)
@@ -78,44 +80,47 @@ class CoverMap:
 
 
 def from_exponents(m1, m2, m3, m4, d):
-    """The element gamma_1^m1 gamma_2^m2 gamma_3^m3 gamma_4^m4."""
-    return Pi1Element(LatticeElement(m1, m2, d.tau_b), LatticeElement(m3, m4, d.tau_e))
+    """The element gamma_1^m1 gamma_2^m2 gamma_3^m3 gamma_4^m4.
+
+    d is not stored: an element is its exponents on every surface, and the
+    surface enters only where c or tau is read (star, inverse, values,
+    to_affine).  The argument keeps the call the same as theirs."""
+    return Pi1Element(m1, m2, m3, m4)
+
+
+_GENERATORS = (Pi1Element(1, 0, 0, 0), Pi1Element(0, 1, 0, 0),
+               Pi1Element(0, 0, 1, 0), Pi1Element(0, 0, 0, 1))
 
 
 def generators(d):
     """(tau_B, 0), (1, 0), (0, tau_E), (0, 1): the classes of gamma_1..gamma_4."""
-    return (
-        from_exponents(1, 0, 0, 0, d),
-        from_exponents(0, 1, 0, 0, d),
-        from_exponents(0, 0, 1, 0, d),
-        from_exponents(0, 0, 0, 1, d),
-    )
+    return _GENERATORS
+
+
+def values(g, d):
+    """The ring values (x, y) = (m1 tau_B + m2, m3 tau_E + m4) of g on d."""
+    return d.tau_b.value * g.m1 + g.m2, d.tau_e.value * g.m3 + g.m4
 
 
 def star(g1, g2, d):
-    """The group law.  D(x, tau_B) = -b and D(x', 1) = a' on coordinates, so
-    the fibre correction is -b1 * a2 copies of c."""
+    """The group law.  D(x, tau_B) = -m2 and D(x', 1) = m1' on exponents, so
+    the fibre correction is -m2 * m1' copies of c."""
     ca, cb = lattice_frame(d).c_coords
-    n = -g1.x.b * g2.x.a
-    return Pi1Element(
-        LatticeElement(g1.x.a + g2.x.a, g1.x.b + g2.x.b, d.tau_b),
-        LatticeElement(g1.y.a + g2.y.a + n * ca, g1.y.b + g2.y.b + n * cb, d.tau_e),
-    )
+    n = -g1.m2 * g2.m1
+    return Pi1Element(g1.m1 + g2.m1, g1.m2 + g2.m2,
+                      g1.m3 + g2.m3 + n * ca, g1.m4 + g2.m4 + n * cb)
 
 
 def inverse(g, d):
     """(-x, -y + D(x, tau_B) D(x, 1) c)."""
     ca, cb = lattice_frame(d).c_coords
-    n = -g.x.b * g.x.a
-    return Pi1Element(
-        LatticeElement(-g.x.a, -g.x.b, d.tau_b),
-        LatticeElement(-g.y.a + n * ca, -g.y.b + n * cb, d.tau_e),
-    )
+    n = -g.m2 * g.m1
+    return Pi1Element(-g.m1, -g.m2, -g.m3 + n * ca, -g.m4 + n * cb)
 
 
 def is_central(g):
     """The center is exactly the fibre factor x = 0."""
-    return g.x.a == 0 and g.x.b == 0
+    return g.m1 == 0 and g.m2 == 0
 
 
 def to_affine(g, d):
@@ -124,11 +129,11 @@ def to_affine(g, d):
     (z, zeta) -> (z + x, zeta + D(x,1) c z
                           + y + D(x,1)(delta - tau_B c / 2 - D(x,tau_B) c / 2 + c x / 2))
     """
-    a, b = g.x.a, g.x.b  # D(x, 1) = a, D(x, tau_B) = -b
-    x = g.x.value()
+    a, b = g.m1, g.m2  # D(x, 1) = a, D(x, tau_B) = -b
+    x, y = values(g, d)
     f = lattice_frame(d)  # epsilon = delta - tau_B c / 2
     extra = f.epsilon + f.half_c * b + f.half_c * x
-    return CoverMap(d.ring.one(), x, Fraction(1), d.ring.zero(), d.c * a, g.y.value() + extra * a)
+    return CoverMap(d.ring.one(), x, Fraction(1), d.ring.zero(), d.c * a, y + extra * a)
 
 
 def abelianization_invariants(d):

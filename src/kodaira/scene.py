@@ -163,25 +163,24 @@ def load_scene(path):
 
 
 @cache
-def _scenes_dir():
-    """The directory of the bundled scenes, resolved once per process."""
-    return resources.files(__package__) / "scenes"
+def _bundled_paths():
+    """{name: path} of the shipped scenes, listed once per process."""
+    return {p.name[:-5]: p for p in (resources.files(__package__) / "scenes").iterdir()
+            if p.name.endswith(".json")}
 
 
 def bundled_scene(name):
-    """Decoded JSON document of a scene shipped with the package."""
-    # one read, which fails on a missing file and on a name no file system
-    # accepts (one with a NUL byte, or too long)
-    try:
-        raw = (_scenes_dir() / f"{name}.json").read_bytes()
-    except (OSError, ValueError):
+    """Decoded JSON document of a scene shipped with the package; name must
+    be one of bundled_scene_names, never a path."""
+    path = _bundled_paths().get(name)
+    if path is None:
         have = ", ".join(bundled_scene_names())
-        raise SceneError(f"no bundled scene {name!r}; available: {have}") from None
-    return json.loads(raw.decode("utf-8"))
+        raise SceneError(f"no bundled scene {name!r}; available: {have}")
+    return json.loads(path.read_bytes().decode("utf-8"))
 
 
 def bundled_scene_names():
-    return sorted(p.name[:-5] for p in _scenes_dir().iterdir() if p.name.endswith(".json"))
+    return sorted(_bundled_paths())
 
 
 def _symbol_doc(s):

@@ -181,7 +181,7 @@ def check_group_law():
         gb = pi1.from_exponents(0, 1, 0, 0, d)
         comm = pi1.star(pi1.star(ga, gb, d),
                         pi1.star(pi1.inverse(ga, d), pi1.inverse(gb, d), d), d)
-        if comm.x.value() != d.ring.zero() or comm.y.value() != d.c:
+        if pi1.values(comm, d) != (d.ring.zero(), d.c):
             return False, f"commutator gave {comm.exponents()}"
         if not pi1.is_central(comm):
             return False, "commutator is not central"
@@ -236,8 +236,8 @@ def check_conjugation():
             for _ in range(2):
                 g1, g2 = rand_pi1(d, rng, 4), rand_pi1(d, rng, 4)
                 lhs = sigma_map(l, d, pi1.star(g1, g2, d))
-                corr = d_form(d.tau_b, l.alpha * g1.x.value(), d.tau_b.value) * \
-                    d_form(d.tau_b, l.alpha * g2.x.value(), d.ring.one()) * d.c
+                corr = d_form(d.tau_b, l.alpha * pi1.values(g1, d)[0], d.tau_b.value) * \
+                    d_form(d.tau_b, l.alpha * pi1.values(g2, d)[0], d.ring.one()) * d.c
                 rhs = sigma_map(l, d, g1) + sigma_map(l, d, g2) + corr
                 if lhs != rhs:
                     return False, f"sigma cocycle rule broke on {name}"

@@ -417,26 +417,38 @@ def _reduce_numeric(z, max_steps=1000):
     return z
 
 
+def _j_value(d, values):
+    tb, _ = sl2_reduce(d.tau_b)
+    tau_b = approx_complex(tb.value, values)
+    if not tb.is_quadratic_mode():
+        tau_b = _reduce_numeric(tau_b)
+    qb = cmath.exp(2j * cmath.pi * tau_b)
+    coeffs = _j_q_coefficients()
+    return coeffs[0] / qb + sum(a * qb**k for k, a in enumerate(coeffs[1:]))
+
+
 def moduli_point(d, precision=15):
     """Display coordinates (j(tau_B), exp(2*pi*i*tau_E)) as complex floats.
 
     tau_B is reduced first so the q-series converges fast: exactly when it
     is quadratic, numerically otherwise.  The result is rounded to
     `precision` significant digits per component.  Never used in any
-    decision procedure.
+    decision procedure.  A coordinate that leaves the range of a float
+    (j for Im tau_B past about 113, or a symbol's value overflowing) raises
+    DomainError naming it.
     """
     values = _numeric_symbols(d.ring)
-    tb, _ = sl2_reduce(d.tau_b)
-    tau_b = approx_complex(tb.value, values)
-    if not tb.is_quadratic_mode():
-        tau_b = _reduce_numeric(tau_b)
-    tau_e = approx_complex(d.tau_e.value, values)
-    qb = cmath.exp(2j * cmath.pi * tau_b)
-    coeffs = _j_q_coefficients()
-    j = coeffs[0] / qb + sum(a * qb**k for k, a in enumerate(coeffs[1:]))
-    qe = cmath.exp(2j * cmath.pi * tau_e)
 
-    def rnd(z):
-        return complex(_round_sig(z.real, precision), _round_sig(z.imag, precision))
+    def coordinate(name, compute):
+        try:
+            z = compute()
+            z = complex(_round_sig(z.real, precision), _round_sig(z.imag, precision))
+            if cmath.isfinite(z):
+                return z
+        except (OverflowError, ZeroDivisionError):
+            pass
+        raise DomainError(f"{name} is not a finite float on this surface")
 
-    return rnd(j), rnd(qe)
+    return (coordinate("j(tau_B)", lambda: _j_value(d, values)),
+            coordinate("q(tau_E)",
+                       lambda: cmath.exp(2j * cmath.pi * approx_complex(d.tau_e.value, values))))

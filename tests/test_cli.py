@@ -12,7 +12,7 @@ import pytest
 
 from kodaira import cli, selftest
 from importlib import resources
-from kodaira.exactfield import NumberRing, to_payload
+from kodaira.exactfield import MAX_QUADRATIC_EXPONENT, NumberRing, to_payload
 from kodaira.scene import (
     SceneError,
     bundled_scene,
@@ -382,10 +382,12 @@ def test_usage_error_exits_two(capsys):
 
 
 def test_unknown_bundled_scene_lists_the_available_ones(capsys):
-    code, out, err = run(capsys, "nk", "--scene", "bundled:nope")
-    assert code == 2 and out == ""
-    assert err == (f"error: no bundled scene 'nope'; available: "
-                   f"{', '.join(bundled_scene_names())}\n")
+    # a path to a shipped scene, relative or absolute, is not a name
+    for name in ("nope", "../scenes/order4", str(resources.files("kodaira") / "scenes" / "order4")):
+        code, out, err = run(capsys, "nk", "--scene", f"bundled:{name}")
+        assert code == 2 and out == ""
+        assert err == (f"error: no bundled scene {name!r}; available: "
+                       f"{', '.join(bundled_scene_names())}\n")
 
 
 # --- repeated calls in one process ----------------------------------------
@@ -533,6 +535,56 @@ def test_huge_quadratic_d_is_a_scene_error(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == f"error: ring[{len(ring) - 1}]: quadratic symbol {ring[-1]['name']!r} " \
                       f"needs an integer d, got True\n"
+
+
+def _gaussian_scene(tau_b, tau_e=None, ring=()):
+    """A plain scene over Q(i) plus ring, with c = 1 and delta = 0."""
+    i = [[[["i", 1]], "1/1"]]
+    return {"ring": [{"name": "i", "d": 1}, *ring],
+            "surface": {"tau_b": tau_b, "tau_e": tau_e or i, "c": [[[], "1/1"]], "delta": []}}
+
+
+@pytest.mark.parametrize("doc, coordinate", [
+    (_gaussian_scene([[[["i", 1]], "113/1"]]), "j(tau_B)"),
+    (_gaussian_scene([[[["i", 1]], "120/1"]]), "j(tau_B)"),
+    (_gaussian_scene([[[["i", 1]], "1/1"]], [[[["i", 1]], "1/1"], [[["t", 2]], "1/1"]],
+                     [{"name": "t", "approx": 1e300}]), "q(tau_E)"),
+], ids=["im-113", "im-120", "approx-overflow"])
+def test_moduli_out_of_float_range_is_a_domain_error(capsys, tmp_path, doc, coordinate):
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    for fmt in ("json", "table"):
+        code, out, err = run(capsys, "moduli", "--scene", str(scene), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"error: {coordinate} is not a finite float on this surface\n"
+
+
+@pytest.mark.parametrize("exponent", [1000000000, 20000, 65, -65])
+def test_large_quadratic_exponents_are_scene_errors(tmp_path, exponent):
+    doc = _gaussian_scene([[[["i", 1]], "1/1"]], ring=[{"name": "r3", "d": 3}])
+    doc["surface"]["delta"] = [[[["r3", exponent]], "1/1"]]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    env = dict(os.environ)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # a subprocess with a timeout, so that a hang fails the test
+    done = subprocess.run([sys.executable, "-m", "kodaira", "normalize", "--scene", str(scene)],
+                          env=env, capture_output=True, text=True, timeout=10)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: surface.delta: exponent {exponent} of quadratic symbol "
+                           f"'r3' exceeds the limit {MAX_QUADRATIC_EXPONENT}\n")
+
+
+def test_quadratic_exponents_up_to_the_limit_and_laurent_exponents_load():
+    doc = _gaussian_scene([[[["i", 1]], "1/1"]],
+                          ring=[{"name": "r3", "d": 3}, {"name": "t", "approx": 2.0}])
+    for mono, want in (([["r3", MAX_QUADRATIC_EXPONENT]], 3 ** (MAX_QUADRATIC_EXPONENT // 2)),
+                       ([["r3", 40], ["r3", -40]], 1)):
+        doc["surface"]["delta"] = [[mono, "1/1"]]
+        assert parse_scene(doc).data.delta.rational() == want
+    doc["surface"]["delta"] = [[[["t", 10**9]], "1/1"], [[["t", -10**9]], "1/1"]]
+    assert len(parse_scene(doc).data.delta.monomials()) == 2
 
 
 def test_bad_symbol_approx_is_a_scene_error(capsys, tmp_path):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kodaira import fixedlocus
-from kodaira.exactfield import DomainError, NumberRing, SymbolDecl, Tau
+from kodaira.exactfield import DomainError, NumberRing, SymbolDecl, Tau, divide, in_lattice
 from kodaira.fixedlocus import (
     ALL,
     EMPTY,
@@ -27,7 +27,7 @@ from kodaira.lifts import (
 from kodaira.pi1 import Pi1Element
 from kodaira.surface import KodairaData
 
-from conftest import rand_auto_lift, rand_pi1
+from conftest import gauge_lift, rand_auto_lift, rand_pi1
 
 R = NumberRing()
 I = R.i()
@@ -72,6 +72,29 @@ def test_gauge_lift_fixes_index_many_fibres():
     assert one == FixedLocus(FIBRES, (R.zero(),))
     two = fixed_locus(SpecialLift(R.one(), R.zero(), R.one() + I, R.zero()), D)
     assert set(two.fibres) == _pts(0, (R.one() + I) * HALF)
+
+
+def test_gauge_fibre_count_is_the_lattice_index(rng):
+    # [Lambda_E : sigma Lambda_B] = |sigma|^2 Im tau_B / Im tau_E, the ratio of
+    # the covolumes, taken here from conjugates alone
+    dw = KodairaData(Tau(I), Tau(I * 2), R.one(), R.value(0))
+    seen = set()
+    for d in (D, DHEX, dw):
+        tb, te = d.tau_b, d.tau_e
+        im_ratio = divide(tb.value - tb.conjugate(), te.value - te.conjugate())
+        for _ in range(12):
+            l = gauge_lift(d, rng)
+            if not l.sigma10:
+                continue
+            index = l.sigma10 * l.sigma10.conjugate() * im_ratio
+            assert index.is_rational() and index.rational().denominator == 1
+            loc = fixed_locus(l, d)
+            assert loc.kind == FIBRES
+            assert len(loc.fibres) == index.rational()
+            for z in loc.fibres:
+                assert in_lattice(l.sigma10 * z + l.v, te)
+            seen.add(len(loc.fibres))
+    assert len(seen) > 2, seen
 
 
 def test_fibre_translations():

@@ -297,8 +297,8 @@ def test_sigma_cocycle(rng):
         for _ in range(10):
             l = rand_auto_lift(d, rng)
             g1, g2 = rand_pi1(d, rng, 4), rand_pi1(d, rng, 4)
-            corr = d_form(d.tau_b, l.alpha * g1.x.value(), d.tau_b.value) * \
-                d_form(d.tau_b, l.alpha * g2.x.value(), d.ring.one()) * d.c
+            corr = d_form(d.tau_b, l.alpha * pi1.values(g1, d)[0], d.tau_b.value) * \
+                d_form(d.tau_b, l.alpha * pi1.values(g2, d)[0], d.ring.one()) * d.c
             assert sigma_map(l, d, pi1.star(g1, g2, d)) == \
                 sigma_map(l, d, g1) + sigma_map(l, d, g2) + corr
 
