@@ -16,21 +16,27 @@ its memo keeps every monomial pulled back along one map, so the identities
 checked along one deck transformation share that work.
 
 The action needs no pullback of forms.  An automorphism lift acts on the
-four generating 1-forms (phi1, phi2, phibar1, phibar2) by one 4x4 matrix:
-f* phi1 = alpha phi1 and f* phi2 = rho phi1 + phi2, with rho in closed form
-from the lift's cover map, and their conjugates.  Every generator of the
-invariant-form model is a wedge word in those letters, so f* on it is the
-exterior power of that matrix, and its coordinates are read off the words.
+four generating 1-forms (phi1, phi2, phibar1, phibar2) without mixing the
+halves (phi1, phi2) and (phibar1, phibar2): f* phi1 = alpha phi1 and
+f* phi2 = rho phi1 + phi2, with rho in closed form from the lift's cover
+map, give the 2x2 letter matrix ((alpha, 0), (rho, 1)) on the first half,
+and its conjugate acts on the second.  Every generator of the invariant-form
+model is a wedge word in those letters, split once into its two halves, so
+f* on it is the product of the exterior powers (Lambda^0, Lambda^1 or
+Lambda^2) of the two matrices on its halves, and its coordinates are read
+off the words.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
 
 from .exactfield import DomainError, divide
 from .lifts import MapClass, cover_map, descent_check
 from .pi1 import generators, to_affine
+from .surface import lattice_frame
 
 ZERO_EXPS = (0, 0, 0, 0)
 
@@ -354,7 +360,7 @@ def holomorphic_generators(d):
     """phi1 = dz and phi2 = -(c/(tau_B - conj tau_B))(z - zbar) dz + dzeta,
     plus their conjugates."""
     ring = d.ring
-    k = divide(d.c, d.tau_b.value - d.tau_b.conjugate())
+    k = lattice_frame(d).shear
     phi1 = differential(ring, 0)
     phi2 = _written(ring, {"zbar*dz": k, "z*dz": -k, "dzeta": ring.one()}, COMPLEX_NAMES)
     return {
@@ -381,13 +387,19 @@ BASIS_LABELS = {
 EXACT_LABELS = {(1, 1): ("phi1^phibar1",), (1, 2): ("phi1^phibar1^phibar2",)}
 BLOCK_ORDER = tuple(BASIS_LABELS)
 # The letters of those words, numbered in this order; each label lists its
-# letters in order, so they form the sorted word _merge_word keys products on.
+# letters in order, holomorphic (0, 1) before antiholomorphic (2, 3).
 LETTERS = ("phi1", "phi2", "phibar1", "phibar2")
 
 
-def _letters(label):
-    """The letter numbers a label names ("1" names none)."""
-    return () if label == "1" else tuple(LETTERS.index(name) for name in label.split("^"))
+@cache
+def _split(label):
+    """The word a label names as its (holomorphic, antiholomorphic) halves,
+    each a sorted word in 0, 1; "1" names the empty word."""
+    letters = () if label == "1" else tuple(LETTERS.index(name) for name in label.split("^"))
+    return tuple(k for k in letters if k < 2), tuple(k - 2 for k in letters if k > 1)
+
+
+_BASIS_WORDS = {pq: tuple(_split(label) for label in labels) for pq, labels in BASIS_LABELS.items()}
 
 
 def real_generators(d):
@@ -534,7 +546,7 @@ def rho(l, d):
     if (l.alpha * l.alpha.conjugate()).rational() != 1:
         raise DomainError("rho is defined for automorphism lifts with |alpha| = 1")
     f = cover_map(l, d)
-    k = divide(d.c, d.tau_b.value - d.tau_b.conjugate())
+    k = lattice_frame(d).shear
     z_term = f.q2 * 2 - k * (f.a * f.a - 1)
     if z_term:
         raise NonConstantRho(f"f* phi2 - phi2 = rho phi1 + ({z_term}) z dz: rho is not constant")
@@ -553,52 +565,55 @@ class DolbeaultAction:
             raise ValueError(f"block sizes {sizes} do not match the Hodge numbers")
 
 
-def _pull_word(letters, images, ring):
-    """f* of the wedge of the letters, in their order, as a map from sorted
-    words to coefficients; images[k] lists the (letter, coefficient) terms
-    of f* of letter k."""
-    out = {(): ring.one()}
-    for k in letters:
-        nxt = {}
-        for word, v in out.items():
-            for j, a in images[k]:
-                sign, merged = _merge_word(word, (j,))
-                if sign:
-                    add = v * a if sign > 0 else -(v * a)
-                    cur = nxt.get(merged)
-                    nxt[merged] = add if cur is None else cur + add
-        out = nxt
-    return out
+def _exterior_powers(m00, m01, m10, m11):
+    """Lambda^0, Lambda^1 and Lambda^2 of the 2x2 matrix whose row j holds the
+    image of letter j: each half word mapped to {half word: coefficient},
+    with no zero coefficient kept."""
+    rows = {(): {(): m00.ring.one()}, (0,): {(0,): m00, (1,): m01},
+            (1,): {(0,): m10, (1,): m11}, (0, 1): {(0, 1): m00 * m11 - m01 * m10}}
+    return {w: {k: v for k, v in row.items() if v} for w, row in rows.items()}
+
+
+def _letters(word):
+    """The letter numbers of the split word (holomorphic, antiholomorphic)."""
+    hol, anti = word
+    return hol + tuple(k + 2 for k in anti)
 
 
 def dolbeault_action(l, d):
     """The matrices of f* on every H^{p,q}.
 
-    f* acts on the letters (phi1, phi2, phibar1, phibar2) by alpha and rho
-    (see rho) and their conjugates; each generator, a wedge word in the
-    letters, maps to the wedge of its letters' images.  Its coordinates are
-    the coefficients of the basis words once the dbar-exact words are
-    dropped; any other word left over is a BasisExpressionFailure."""
+    f* never mixes (phi1, phi2) with (phibar1, phibar2): it acts on each half
+    by a 2x2 letter matrix, ((alpha, 0), (rho, 1)) (see rho) and its
+    conjugate.  A generator, a wedge word split into its two halves, maps to
+    the product of the exterior powers of those matrices on its halves.  Its
+    coordinates are the coefficients of the basis words once the dbar-exact
+    words are dropped; any other word left over is a BasisExpressionFailure."""
     if descent_check(l, d) != MapClass.AUTOMORPHISM:
         raise DomainError("cohomology action applies to automorphism lifts")
-    ring = d.ring
-    one, al, r = ring.one(), l.alpha, rho(l, d)
-    images = (((0, al),), ((0, r), (1, one)), ((2, al.conjugate()),), ((2, r.conjugate()), (3, one)))
+    zero, one, al, r = d.ring.zero(), d.ring.one(), l.alpha, rho(l, d)
+    hol = _exterior_powers(al, zero, r, one)
+    anti = _exterior_powers(al.conjugate(), zero, r.conjugate(), one)
+    # f* keeps bidegree, so one set serves every block
+    exact = {_split(label) for labels in EXACT_LABELS.values() for label in labels}
     blocks = {}
-    for pq in BLOCK_ORDER:
-        labels = BASIS_LABELS[pq]
-        words = [_letters(label) for label in labels]
-        exact = {_letters(label) for label in EXACT_LABELS.get(pq, ())}
+    for pq, words in _BASIS_WORDS.items():
         rows = []
-        for label, word in zip(labels, words):
-            pulled = _pull_word(word, images, ring)
-            rows.append(tuple(pulled.pop(w, ring.zero()) for w in words))
-            rest = [w for w, v in sorted(pulled.items()) if v and w not in exact]
+        for label, (h, a) in zip(BASIS_LABELS[pq], words):
+            pulled = {(h2, a2): y if x is one else x if y is one else x * y
+                      for h2, x in hol[h].items() for a2, y in anti[a].items()}
+            rows.append(tuple([pulled.pop(w, zero) for w in words]))
+            rest = [w for w, v in pulled.items() if v and w not in exact]
             if rest:
-                names = ", ".join("^".join(LETTERS[k] for k in w) for w in rest)
+                names = ", ".join("^".join(LETTERS[k] for k in _letters(w))
+                                  for w in sorted(rest, key=_letters))
                 raise BasisExpressionFailure(f"f* {label} has terms in {names}, outside the span")
         blocks[pq] = tuple(rows)
     return DolbeaultAction(blocks)
+
+
+def _trace(mat):
+    return mat[0][0] if len(mat) == 1 else mat[0][0] + mat[1][1]
 
 
 def _det(mat):
@@ -609,29 +624,21 @@ def _det(mat):
 
 def trace_det(act):
     """Per-bidegree (trace, determinant) plus the totals under key 'total'."""
-    some = act.blocks[(0, 0)][0][0]
-    ring = some.ring
-    out = {}
-    tr_total, det_total = ring.zero(), ring.one()
-    for pq in BLOCK_ORDER:
-        mat = act.blocks[pq]
-        tr = sum((mat[j][j] for j in range(len(mat))), ring.zero())
-        det = _det(mat)
-        out[pq] = (tr, det)
-        tr_total = tr_total + tr
-        det_total = det_total * det
+    out = {pq: (_trace(act.blocks[pq]), _det(act.blocks[pq])) for pq in BLOCK_ORDER}
+    tr_total, det_total = out[BLOCK_ORDER[0]]
+    for pq in BLOCK_ORDER[1:]:
+        tr, det = out[pq]
+        tr_total, det_total = tr_total + tr, det_total * det
     out["total"] = (tr_total, det_total)
     return out
 
 
 def lefschetz(act):
     """Alternating trace sum over total degree; vanishes for automorphisms."""
-    some = act.blocks[(0, 0)][0][0]
-    ring = some.ring
-    total = ring.zero()
+    total = None
     for (p, q), mat in act.blocks.items():
-        tr = sum((mat[j][j] for j in range(len(mat))), ring.zero())
-        total = total + tr * ((-1) ** (p + q))
+        tr = _trace(mat) if (p + q) % 2 == 0 else -_trace(mat)
+        total = tr if total is None else total + tr
     return total
 
 

@@ -48,7 +48,7 @@ from .exactfield import (
     mod_lattice,
     smith_normal_form,
 )
-from .pi1 import CoverMap, from_exponents, to_affine, values
+from .pi1 import CoverMap, from_exponents, is_central, to_affine, values
 from .surface import canonical_unit, lattice_frame
 from .surface import unit_group_order  # noqa: F401  (perfbench/workloads.py reads it here)
 
@@ -192,12 +192,26 @@ def sigma_map(l, d, g, ax=None):
     m1, m2, _, _ = g.exponents()
     out = _sigma(l, d, x, m1, m2, ax) + y * _norm(l.alpha)
     if not in_lattice(out, d.tau_e):
-        raise LatticeViolation(f"sigma({g.exponents()}) = {out} is not in the fibre lattice")
+        raise _escaped(g, out)
     return out
 
 
+def _escaped(g, out):
+    """The error for sigma(g) = out outside the fibre lattice."""
+    return LatticeViolation(f"sigma({g.exponents()}) = {out} is not in the fibre lattice")
+
+
 def conjugate_deck(l, d, g):
-    """Phi gamma Phi^-1 as a fundamental-group element: (alpha x, sigma(x, y))."""
+    """Phi gamma Phi^-1 as a fundamental-group element: (alpha x, sigma(x, y)).
+
+    A central g = (0, y) goes to (0, |alpha|^2 y), whose exponents are
+    |alpha|^2 (m3, m4): integer arithmetic, with no ring value built."""
+    if is_central(g):
+        n = _norm(l.alpha)
+        ya, yb = n * g.m3, n * g.m4
+        if ya.denominator != 1 or yb.denominator != 1:
+            raise _escaped(g, values(g, d)[1] * n)
+        return from_exponents(0, 0, int(ya), int(yb), d)
     try:
         xa, xb = lattice_coords(l.alpha * values(g, d)[0], d.tau_b)
     except NotInSpan as exc:

@@ -294,7 +294,9 @@ def canonical_unit(tau):
 class LatticeFrame:
     """The lattice constants of one surface, which every lift over it uses.
 
-    epsilon = delta - c tau_B / 2 and half_c = c / 2; c_coords = (a, b) with
+    epsilon = delta - c tau_B / 2 and half_c = c / 2; shear = c / (tau_B -
+    conj tau_B), the coefficient k of phi2 = k (zbar - z) dz + dzeta that
+    forms.rho and forms.holomorphic_generators read; c_coords = (a, b) with
     c = a tau_E + b; unit_powers = (1, omega, ..., omega^(n-1)) for the
     canonical unit omega of order n.  canonical_lift is the canonical
     order-n lift over omega, and inverse_rotations maps an exponent e to the
@@ -303,6 +305,7 @@ class LatticeFrame:
 
     epsilon: NumberValue
     half_c: NumberValue
+    shear: NumberValue
     c_coords: tuple[int, int]
     unit_powers: tuple
     canonical_lift: object = None
@@ -321,6 +324,7 @@ def lattice_frame(d):
     return LatticeFrame(
         epsilon=d.delta - half_c * d.tau_b.value,
         half_c=half_c,
+        shear=divide(d.c, d.tau_b.value - d.tau_b.conjugate()),
         c_coords=lattice_coords(d.c, d.tau_e),
         unit_powers=tuple(powers),
     )

@@ -14,6 +14,7 @@ from kodaira.forms import (
     BLOCK_ORDER,
     EXACT_LABELS,
     BasisExpressionFailure,
+    DolbeaultAction,
     NonConstantRho,
     acts_trivially_on_cohomology,
     conjugate_form,
@@ -39,6 +40,7 @@ from kodaira.forms import (
 from kodaira.lifts import (
     MapClass,
     SpecialLift,
+    canonical_lift,
     canonical_unit,
     compose,
     cover_map,
@@ -49,7 +51,7 @@ from kodaira.lifts import (
     z_coefficient,
 )
 from kodaira.pi1 import CoverMap
-from kodaira.scene import bundled_scene, parse_scene
+from kodaira.scene import bundled_scene, bundled_scene_names, parse_scene
 from kodaira.surface import KodairaData
 
 from conftest import rand_auto_lift, rand_pi1, rand_value
@@ -449,6 +451,69 @@ def test_naturality_matches_direct_substitution(rng):
                     direct = substitute(_product(label, gens, d.ring), images)
                     assert _product(label, pulled, d.ring) == direct, label
             _direct_action(l, d)
+
+
+@pytest.mark.parametrize("name", bundled_scene_names())
+def test_scene_lifts_match_direct_substitution(name):
+    # every automorphism lift a bundled scene names, and the canonical
+    # order-n lift of its surface
+    scene = parse_scene(bundled_scene(name))
+    d = scene.data
+    autos = [l for l in scene.lifts.values() if descent_check(l, d) == MapClass.AUTOMORPHISM]
+    for l in autos + [canonical_lift(d)]:
+        _direct_action(l, d)
+
+
+def test_rotated_sheared_lifts_match_direct_substitution(rng):
+    # alpha != 1 and rho != 0, so every off-diagonal entry of the letter
+    # matrices and both exact words come into play
+    for d in (D2, DHEX, DT):
+        found = 0
+        while found < 10:
+            l = rand_auto_lift(d, rng)
+            if l.alpha == d.ring.one() or not rho(l, d):
+                continue
+            _direct_action(l, d)
+            found += 1
+
+
+def test_trace_det_and_lefschetz_of_a_full_matrix():
+    # every automorphism block is lower triangular, so only a hand-built
+    # action shows the m01 * m10 term of each 2x2 determinant
+    v = R.value
+    blocks = {
+        (0, 0): ((v(2),),),
+        (1, 0): ((v(3),),),
+        (0, 1): ((v(1), v(2)), (v(3), v(4))),
+        (2, 0): ((v(5),),),
+        (1, 1): ((1 + I, v(2)), (I, v(3))),
+        (0, 2): ((v(7),),),
+        (2, 1): ((v(2), v(-1)), (v(1), v(1))),
+        (1, 2): ((v(-2),),),
+        (2, 2): ((v(11),),),
+    }
+    act = DolbeaultAction(blocks)
+    td = trace_det(act)
+    assert td[(0, 1)] == (v(5), v(-2))
+    assert td[(1, 1)] == (4 + I, 3 + I)
+    assert td[(2, 1)] == (v(3), v(3))
+    for pq in ((0, 0), (1, 0), (2, 0), (0, 2), (1, 2), (2, 2)):
+        assert td[pq] == (blocks[pq][0][0], blocks[pq][0][0])
+    assert td["total"] == (38 + I, 83160 + 27720 * I)
+    # + H00 - H10 - H01 + H20 + H11 + H02 - H21 - H12 + H22
+    assert lefschetz(act) == 20 + I
+
+
+def test_exterior_powers_of_a_full_letter_matrix():
+    m = {(0, 0): 1 + I, (0, 1): R.value(2), (1, 0): I, (1, 1): R.value(3)}
+    got = forms._exterior_powers(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    assert got == {(): {(): R.one()},
+                   (0,): {(0,): m[0, 0], (1,): m[0, 1]},
+                   (1,): {(0,): m[1, 0], (1,): m[1, 1]},
+                   (0, 1): {(0, 1): 3 + I}}
+    # a zero entry is dropped, not kept as a zero coefficient
+    zero = forms._exterior_powers(I, R.zero(), R.one(), R.one())
+    assert zero[(0,)] == {(0,): I} and zero[(0, 1)] == {(0, 1): I}
 
 
 def test_answers_need_no_pullback(monkeypatch, rng):

@@ -292,6 +292,47 @@ def test_conjugate_deck_matches_brute_force(rng):
                 assert to_affine(out, d) == want, e
 
 
+def test_conjugate_deck_of_central_elements(rng, monkeypatch):
+    # (0, y) goes to (0, |alpha|^2 y): against Phi deck(g) Phi^-1 as cover
+    # maps for automorphisms, and against Phi deck(g) = deck(out) Phi for
+    # endomorphisms (|alpha|^2 = 2, or 3 on the hexagonal base)
+    for d, endo in ((D2, 1 + I), (DHEX, R3), (DT, RT.one() + RT.i())):
+        for _ in range(5):
+            l = rand_auto_lift(d, rng)
+            e = SpecialLift(endo, l.beta, l.sigma10, l.v)
+            central = [(0, 0, 1, 0), (0, 0, 0, 1)] + \
+                [(0, 0, rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
+            for m in central:
+                g = pi1.from_exponents(*m, d)
+                phi = cover_map(l, d)
+                want = phi.compose(to_affine(g, d)).compose(phi.inverse())
+                assert to_affine(conjugate_deck(l, d, g), d) == want, m
+                phi = cover_map(e, d)
+                got = to_affine(conjugate_deck(e, d, g), d).compose(phi)
+                assert got == phi.compose(to_affine(g, d)), m
+    # the one ring multiply left is |alpha|^2 itself
+    from kodaira.exactfield import NumberValue
+    l = lifts.canonical_lift(DHEX)
+    calls = []
+    real_mul = NumberValue.__mul__
+    monkeypatch.setattr(NumberValue, "__mul__", lambda x, y: calls.append(1) or real_mul(x, y))
+    g = pi1.from_exponents(0, 0, 3, -2, DHEX)
+    assert conjugate_deck(l, DHEX, g).exponents() == (0, 0, 3, -2)
+    assert len(calls) == 1
+
+
+def test_conjugate_deck_of_a_central_element_off_the_lattice():
+    # |alpha|^2 = 1/2: (0, tau_E) would go to (0, tau_E / 2), outside the
+    # fibre lattice, as the general sigma formula also finds
+    l = SpecialLift((1 + I) * HALF, R.zero(), R.zero(), R.zero())
+    g = pi1.from_exponents(0, 0, 1, 0, D2)
+    with pytest.raises(lifts.LatticeViolation, match=r"sigma\(\(0, 0, 1, 0\)\) = 1/2\*i is not"):
+        conjugate_deck(l, D2, g)
+    with pytest.raises(lifts.LatticeViolation, match=r"sigma\(\(0, 0, 1, 0\)\) = 1/2\*i is not"):
+        sigma_map(l, D2, g)
+    assert conjugate_deck(l, D2, pi1.from_exponents(0, 0, 2, -4, D2)).exponents() == (0, 0, 1, -2)
+
+
 def test_sigma_cocycle(rng):
     for d in (D1, DT):
         for _ in range(10):
